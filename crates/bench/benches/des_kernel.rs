@@ -7,7 +7,7 @@ use xanadu_chain::{linear_chain, FunctionSpec};
 use xanadu_core::speculation::ExecutionMode;
 use xanadu_platform::shard::{replay_sharded, ShardOptions, ShardWorkload};
 use xanadu_platform::{Platform, PlatformConfig};
-use xanadu_simcore::{EventQueue, SimDuration, SimTime};
+use xanadu_simcore::{EventQueue, SimTime};
 
 fn bench_queue(c: &mut Criterion) {
     c.bench_function("event_queue_push_pop_1k", |b| {
@@ -88,7 +88,7 @@ fn bench_sharded_replay(c: &mut Criterion) {
                 workloads.clone(),
                 &ShardOptions {
                     threads: 1,
-                    window: SimDuration::from_mins(5),
+                    ..ShardOptions::default()
                 },
             )
             .expect("replay");

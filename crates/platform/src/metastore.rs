@@ -12,6 +12,7 @@ use serde_json::{Map, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
+use xanadu_simcore::fnv1a64;
 
 /// Error from a conflicting or missing-document operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -172,16 +173,6 @@ pub struct Manifest {
     pub version: u32,
     /// Committed segments, oldest first.
     pub segments: Vec<SegmentRef>,
-}
-
-/// FNV-1a over `bytes` (the same digest the CLI prints for reports).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
 }
 
 /// Writes `contents` to `path` atomically: a `.tmp` sibling is written

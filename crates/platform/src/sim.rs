@@ -612,28 +612,6 @@ impl Platform {
         processed
     }
 
-    /// Processes events up to and including `deadline` like
-    /// [`run_until`](Self::run_until), but leaves the clock at the last
-    /// processed event instead of advancing it to `deadline`. The
-    /// sharded driver ([`crate::shard`]) steps with this so the final
-    /// clock value — which prices end-of-run worker teardown in
-    /// [`finish`](Self::finish) — depends only on the event stream,
-    /// never on the driver's barrier-window width.
-    pub fn step_window(&mut self, deadline: SimTime) -> u64 {
-        let mut processed = 0;
-        while let Some(t) = self.queue.peek_time() {
-            if t > deadline {
-                break;
-            }
-            let (t, event) = self.queue.pop().expect("peeked event exists");
-            assert!(t >= self.now, "time went backwards");
-            self.now = t;
-            self.handle(event);
-            processed += 1;
-        }
-        processed
-    }
-
     /// Completed request results so far.
     pub fn results(&self) -> &[RunResult] {
         &self.results
@@ -751,11 +729,10 @@ impl Platform {
         self.pool.live_count()
     }
 
-    /// Number of events still queued. The sharded replay driver
-    /// ([`crate::shard`]) polls this at every time-window barrier to
-    /// detect fleet-wide quiescence.
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
+    /// The most events ever queued at once (the event queue's
+    /// high-water mark).
+    pub fn queue_peak(&self) -> usize {
+        self.queue.peak()
     }
 
     /// The cluster view: host placement and load of every live worker.

@@ -106,6 +106,8 @@ pub struct EventQueue<E> {
     /// Events at or beyond the wheel horizon, in a min-ordered heap.
     overflow: BinaryHeap<ScheduledEvent<E>>,
     len: usize,
+    /// High-water mark of `len` since creation.
+    peak: usize,
     next_seq: u64,
 }
 
@@ -119,6 +121,7 @@ impl<E> EventQueue<E> {
             anchor: 0,
             overflow: BinaryHeap::new(),
             len: 0,
+            peak: 0,
             next_seq: 0,
         }
     }
@@ -155,6 +158,7 @@ impl<E> EventQueue<E> {
         self.next_seq += 1;
         self.place(ScheduledEvent { time, seq, event });
         self.len += 1;
+        self.peak = self.peak.max(self.len);
         self.settle();
         seq
     }
@@ -175,6 +179,11 @@ impl<E> EventQueue<E> {
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.len
+    }
+
+    /// The most events ever pending at once since the queue was created.
+    pub fn peak(&self) -> usize {
+        self.peak
     }
 
     /// Whether no events are pending.
@@ -582,6 +591,7 @@ mod proptests {
             let mut q = EventQueue::new();
             let mut model = HeapModel::new();
             let mut payload = 0u32;
+            let mut peak = 0;
             for op in ops {
                 match op {
                     Op::Schedule(t) => {
@@ -599,6 +609,8 @@ mod proptests {
                     }
                 }
                 prop_assert_eq!(q.len(), model.heap.len());
+                peak = peak.max(q.len());
+                prop_assert_eq!(q.peak(), peak);
                 prop_assert_eq!(q.peek_time(), model.heap.peek().map(|s| s.time));
             }
             // Drain both to the end: full order must agree.

@@ -17,6 +17,8 @@
 //!   event hot path moves `Copy` payloads instead of `String`s.
 //! * [`RngStream`] — named, independently seeded random-number streams so
 //!   adding a new consumer of randomness never perturbs existing ones.
+//! * [`fnv1a64`] — the stable FNV-1a digest behind seeds, report digests
+//!   and checkpoint manifests.
 //! * [`Distribution`] — latency/service-time distributions (constant,
 //!   uniform, truncated normal, log-normal, exponential) with serde support.
 //! * [`stats`] — online summary statistics, percentiles, linear regression
@@ -54,5 +56,5 @@ mod time;
 pub use dist::{Distribution, SampleError};
 pub use events::{EventQueue, ScheduledEvent};
 pub use interner::{Interner, Sym};
-pub use rng::RngStream;
+pub use rng::{fnv1a64, RngStream};
 pub use time::{SimDuration, SimTime};

@@ -26,7 +26,7 @@ use xanadu_platform::{
     MetricsRegistry, ObserverHandle, PlacementPolicy, Platform, PlatformConfig, SloConfig,
     StreamingConfig,
 };
-use xanadu_simcore::{SimDuration, SimTime};
+use xanadu_simcore::{fnv1a64, SimDuration, SimTime};
 use xanadu_workloads::azure::{
     generate_trace, scale_to_invocations, total_invocations, AzureTraceConfig,
 };
@@ -158,8 +158,6 @@ pub struct ReplayArgs {
     /// OS threads the logical shards are spread over. Never affects
     /// report bytes, only wall-clock time.
     pub shards: usize,
-    /// Conservative barrier-window width in simulated seconds.
-    pub window_secs: u64,
     /// Master seed for the trace and every per-shard platform.
     pub seed: u64,
     /// Xanadu execution mode (baselines are not sharded).
@@ -208,7 +206,7 @@ pub struct ReplayArgs {
     pub slo_out: Option<String>,
     /// Tumbling SLO window width in simulated seconds.
     pub slo_window_secs: u64,
-    /// Print a wall-clock heartbeat (progress, events/sec, backlog, ETA)
+    /// Print a wall-clock heartbeat (shards finished, events/sec, ETA)
     /// to stderr while replaying. Never affects stdout or exports.
     pub progress: bool,
     /// Merge an `events_per_sec` kernel-throughput row into this
@@ -429,7 +427,7 @@ USAGE:
              [--host-fail-rate R] [--autoscale-max N]
              [--trace-out <file>] [--metrics-out <file>] [--audit-out <file>]
   xanadu analyze --sdl <file> [same flags as run]
-  xanadu replay [--invocations N] [--shards S] [--window-secs W] [--seed S]
+  xanadu replay [--invocations N] [--shards S] [--seed S]
                 [--mode cold|spec|jit] [--policy name[:param=val,...]]
                 [--no-plan-cache] [--depth D]
                 [--fault-rate R] [--fault-seed F] [--report-out <file>]
@@ -504,10 +502,10 @@ byte-identical at any `--shards`. `--slo <thresholds.json>` gates
 tumbling `--slo-window-secs` windows (default 60) against the first
 non-empty window with `diff` semantics, exits non-zero on any breach
 and, with `--slo-out`, writes the windowed evaluation JSON.
-`--progress` prints a stderr heartbeat (events/sec, backlog, ETA).
-`--bench-out` merges an `events_per_sec` kernel-throughput row plus a
-`kernel_profile` section (per-shard events and queue peaks, barrier and
-merge costs) into the named BENCH_harness.json, preserving its other
+`--progress` prints a stderr heartbeat (shards finished, events/sec,
+ETA). `--bench-out` merges an `events_per_sec` kernel-throughput row plus
+a `kernel_profile` section (per-shard events and queue peaks, join-wait
+and merge costs) into the named BENCH_harness.json, preserving its other
 sections.
 `diff` compares two audit or metrics snapshots and exits non-zero when
 the candidate regresses past a threshold (p95 end-to-end +10%, wasted
@@ -712,14 +710,6 @@ fn parse_replay_flags(args: &[String]) -> Result<ReplayArgs, CliError> {
             (mode, PolicySpec::Xanadu, 1.0, parse_miss_policy(args)?)
         }
     };
-    let window_secs = parse_num(args, "--window-secs", 60)?;
-    if window_secs == 0 {
-        return Err(CliError::BadValue {
-            flag: "--window-secs".into(),
-            value: "0".into(),
-            expected: "a positive number of simulated seconds".into(),
-        });
-    }
     let depth = parse_num(args, "--depth", 5)?;
     if depth == 0 {
         return Err(CliError::BadValue {
@@ -739,7 +729,6 @@ fn parse_replay_flags(args: &[String]) -> Result<ReplayArgs, CliError> {
     Ok(ReplayArgs {
         invocations: parse_num(args, "--invocations", 10_000)?,
         shards: parse_num(args, "--shards", 1)?.max(1) as usize,
-        window_secs,
         seed: parse_num(args, "--seed", 42)?,
         mode,
         plan_cache: !args.iter().any(|a| a == "--no-plan-cache"),
@@ -1258,7 +1247,7 @@ fn execute_replay(
 
     let opts = ShardOptions {
         threads: replay.shards,
-        window: SimDuration::from_secs(replay.window_secs),
+        ..ShardOptions::default()
     };
     let started = std::time::Instant::now();
     let run = replay_sharded_with(&config, workloads, &opts, &telemetry)
@@ -1291,10 +1280,9 @@ fn execute_replay(
         replay.fault_rate,
     );
     out.push_str(&format!(
-        "shards: {} thread(s) over {} logical shards, window {}s\n",
+        "shards: {} thread(s) over {} logical shards\n",
         replay.shards.min(run.logical_shards.max(1)),
         run.logical_shards,
-        replay.window_secs
     ));
     out.push_str(&format!(
         "events: {}   wall: {wall:.2}s   events/sec: {events_per_sec:.0}\n",
@@ -1443,24 +1431,12 @@ fn kernel_profile_json(run: &xanadu_platform::ShardedRun) -> serde_json::Value {
         .collect();
     serde_json::json!({
         "threads": profile.threads,
-        "windows": profile.windows,
         "merge_us": profile.merge_us,
         "barrier_wait_us": profile.barrier_wait_us,
         "queue_peak": profile.queue_peak(),
         "shards_total": profile.shards.len(),
         "busiest_shards": rows,
     })
-}
-
-/// FNV-1a over a byte slice: the stable digest `xanadu replay` prints so
-/// CI can byte-compare merged reports across shard counts without
-/// shipping the (potentially huge) report files around.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 /// A finished workload run: the platform still holds per-request traces.
@@ -1872,7 +1848,6 @@ mod tests {
         };
         assert_eq!(replay.invocations, 10_000);
         assert_eq!(replay.shards, 1);
-        assert_eq!(replay.window_secs, 60);
         assert_eq!(replay.mode, ExecutionMode::Jit);
         assert!(replay.plan_cache);
         assert_eq!(replay.depth, 5);
@@ -1905,10 +1880,6 @@ mod tests {
             parse_args(&args(&["replay", "--mode", "knative"])),
             Err(CliError::BadValue { .. })
         ));
-        assert!(matches!(
-            parse_args(&args(&["replay", "--window-secs", "0"])),
-            Err(CliError::BadValue { .. })
-        ));
     }
 
     #[test]
@@ -1933,8 +1904,6 @@ mod tests {
         };
         let serial = digest_line("1", &[]);
         assert_eq!(serial, digest_line("4", &[]), "shard count changed bytes");
-        // Window width is also invisible in the digest.
-        assert_eq!(serial, digest_line("2", &["--window-secs", "600"]));
         // Plan cache and faults change the workload, not the determinism.
         let faulty = digest_line("1", &["--fault-rate", "0.2"]);
         assert_eq!(faulty, digest_line("8", &["--fault-rate", "0.2"]));
@@ -2127,7 +2096,7 @@ mod tests {
             .unwrap()
             .starts_with("fnv1a64:"));
         let profile = value.get("kernel_profile").unwrap();
-        assert!(profile.get("windows").and_then(|w| w.as_u64()).is_some());
+        assert!(profile.get("windows").is_none(), "no windows to count");
         let shards = profile
             .get("busiest_shards")
             .and_then(|s| s.as_array())

@@ -48,7 +48,7 @@ use xanadu_platform::{
     AuditCheckpoint, BusEvent, DiffThresholds, Platform, PlatformConfig, SegmentLog, SloCheckpoint,
     SloConfig, SloMonitor, StreamingAudit, StreamingConfig,
 };
-use xanadu_simcore::{RngStream, SimDuration};
+use xanadu_simcore::{fnv1a64, RngStream, SimDuration};
 use xanadu_workloads::stream::{
     GeneratedStream, RecordedStream, StreamEvent, StreamHeader, StreamSource,
 };
@@ -125,16 +125,28 @@ const DOC_SLO: &str = "serve/slo";
 const DOC_SKETCH: &str = "serve/sketch";
 const LEARNED_DOCS: [&str; 2] = ["learned/metrics", "learned/branches"];
 
-/// The resume cursor: where in the stream the durable state ends.
+/// [`ServeCursor`] layout version; 2 added seed, mode, sketch and SLO.
+const CURSOR_VERSION: u64 = 2;
+
+/// The resume cursor: where in the stream the durable state ends, and
+/// every knob a resume must repeat (see `load_state`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct ServeCursor {
-    /// Cursor format version.
-    version: u32,
+    /// Cursor format version ([`CURSOR_VERSION`]).
+    version: u64,
     /// Digest of the stream header — resuming against a different
     /// stream (or epoch cadence) is a mechanical error, not a guess.
     header_digest: String,
     /// Epoch width the checkpoints were cut at.
     checkpoint_every: u64,
+    /// Master seed of the epoch platforms (`--seed`).
+    seed: u64,
+    /// Execution mode of the epoch platforms (`--mode`).
+    mode: ExecutionMode,
+    /// Capacity of the edge sketch (`--sketch-edges`).
+    sketch_edges: usize,
+    /// Digest of the SLO thresholds document (`--slo`).
+    slo_digest: String,
     /// Stream events durably consumed.
     events_consumed: u64,
     /// Requests completed across all epochs (the request-id base).
@@ -161,12 +173,12 @@ struct SketchState {
 const RATE_SKETCH_DEPTH: usize = 4;
 const RATE_SKETCH_WIDTH: usize = 512;
 
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
-    }
-    h
+/// `fnv1a64:<hex>` over the compact JSON of `value`.
+fn json_digest(value: &impl Serialize) -> String {
+    let json = serde_json::to_value(value)
+        .expect("value serializes")
+        .to_json_string();
+    format!("fnv1a64:{:016x}", fnv1a64(json.as_bytes()))
 }
 
 fn workflow_err(e: impl std::fmt::Display) -> CliError {
@@ -234,6 +246,7 @@ fn load_state(
     serve: &ServeArgs,
     slo_config: &SloConfig,
     header_digest: &str,
+    slo_digest: &str,
 ) -> Result<(ServiceState, bool), CliError> {
     let Some((cursor_doc, _)) = durable.get(DOC_CURSOR) else {
         return Ok((
@@ -254,6 +267,17 @@ fn load_state(
     let bad_doc = |id: &str, e: &dyn std::fmt::Display| {
         CliError::Workflow(format!("checkpoint document {id} is corrupt: {e}"))
     };
+    let version = cursor_doc
+        .get("version")
+        .and_then(Value::as_u64)
+        .unwrap_or(0);
+    if version != CURSOR_VERSION {
+        return Err(CliError::Workflow(format!(
+            "checkpoint in {} has cursor version {version}, not {CURSOR_VERSION}; \
+             point --checkpoint-dir at a fresh directory",
+            serve.checkpoint_dir,
+        )));
+    }
     let cursor: ServeCursor =
         serde_json::from_value(cursor_doc.clone()).map_err(|e| bad_doc(DOC_CURSOR, &e))?;
     if cursor.header_digest != header_digest {
@@ -262,13 +286,6 @@ fn load_state(
              (header digest {} != {header_digest}); point --checkpoint-dir \
              at a fresh directory or replay the original stream",
             serve.checkpoint_dir, cursor.header_digest
-        )));
-    }
-    if cursor.checkpoint_every != serve.checkpoint_every {
-        return Err(CliError::Workflow(format!(
-            "checkpoint in {} was cut every {} events but --checkpoint-every \
-             is {}; epoch boundaries must match for a byte-identical resume",
-            serve.checkpoint_dir, cursor.checkpoint_every, serve.checkpoint_every
         )));
     }
     let typed = |id: &str| -> Result<Value, CliError> {
@@ -281,13 +298,44 @@ fn load_state(
         serde_json::from_value(typed(DOC_AUDIT)?).map_err(|e| bad_doc(DOC_AUDIT, &e))?;
     let slo_cp: SloCheckpoint =
         serde_json::from_value(typed(DOC_SLO)?).map_err(|e| bad_doc(DOC_SLO, &e))?;
-    if slo_cp.window_us != slo_config.window.as_micros() {
-        return Err(CliError::Workflow(format!(
-            "checkpointed SLO window is {}µs but --slo-window-secs asks for \
-             {}µs; window widths must match to resume",
-            slo_cp.window_us,
-            slo_config.window.as_micros()
-        )));
+    // Every knob that shapes what the epochs simulate must match the
+    // checkpoint, or the resumed run would blend two configurations.
+    let secs = |us: u64| format!("{}s", us as f64 / 1e6);
+    let identity = [
+        (
+            "--checkpoint-every",
+            serve.checkpoint_every.to_string(),
+            cursor.checkpoint_every.to_string(),
+        ),
+        (
+            "--slo-window-secs",
+            secs(slo_config.window.as_micros()),
+            secs(slo_cp.window_us),
+        ),
+        ("--seed", serve.seed.to_string(), cursor.seed.to_string()),
+        (
+            "--mode",
+            serve.mode.label().into(),
+            cursor.mode.label().into(),
+        ),
+        (
+            "--sketch-edges",
+            serve.sketch_edges.to_string(),
+            cursor.sketch_edges.to_string(),
+        ),
+        ("--slo", slo_digest.to_string(), cursor.slo_digest.clone()),
+    ];
+    for (flag, value, recorded) in identity {
+        if value != recorded {
+            return Err(CliError::BadValue {
+                flag: flag.into(),
+                value,
+                expected: format!(
+                    "{recorded}, as recorded by the checkpoint in {}",
+                    serve.checkpoint_dir
+                ),
+            });
+        }
     }
     let sketch: SketchState =
         serde_json::from_value(typed(DOC_SKETCH)?).map_err(|e| bad_doc(DOC_SKETCH, &e))?;
@@ -370,10 +418,7 @@ pub fn run_serve(
             serve.events,
         )),
     };
-    let header_json = serde_json::to_value(&header)
-        .expect("header serializes")
-        .to_json_string();
-    let header_digest = format!("fnv1a64:{:016x}", fnv1a64(header_json.as_bytes()));
+    let header_digest = json_digest(&header);
 
     let thresholds: DiffThresholds = match &serve.slo {
         None => DiffThresholds::default(),
@@ -389,6 +434,7 @@ pub fn run_serve(
         thresholds,
     };
     let window_us = slo_config.window.as_micros();
+    let slo_digest = json_digest(&slo_config.thresholds);
 
     let log = SegmentLog::open(&serve.checkpoint_dir)
         .map_err(|e| workflow_err(format!("checkpoint log: {e}")))?;
@@ -401,7 +447,8 @@ pub fn run_serve(
         .segments
         .len() as u64;
 
-    let (mut state, resumed) = load_state(&durable, serve, &slo_config, &header_digest)?;
+    let (mut state, resumed) =
+        load_state(&durable, serve, &slo_config, &header_digest, &slo_digest)?;
     let mut restored_event = resumed.then_some(BusEvent::CheckpointRestored {
         epoch: state.epoch,
         segments,
@@ -509,9 +556,13 @@ pub fn run_serve(
             }
         }
         let cursor = ServeCursor {
-            version: 1,
+            version: CURSOR_VERSION,
             header_digest: header_digest.clone(),
             checkpoint_every: serve.checkpoint_every,
+            seed: serve.seed,
+            mode: serve.mode,
+            sketch_edges: serve.sketch_edges,
+            slo_digest: slo_digest.clone(),
             events_consumed: state.events_consumed,
             requests: state.request_base,
             epochs: state.epoch,

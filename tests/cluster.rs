@@ -198,7 +198,7 @@ fn sharded_cluster_replay_is_byte_identical_at_any_shard_width() {
     let run_at = |threads: usize| {
         let opts = ShardOptions {
             threads,
-            window: SimDuration::from_mins(1),
+            ..ShardOptions::default()
         };
         let run = replay_sharded(&config, workloads(), &opts).unwrap();
         serde_json::to_string(&run.report).unwrap()

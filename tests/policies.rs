@@ -175,7 +175,7 @@ fn sharded_replay_is_byte_identical_per_policy() {
         let snapshot = |threads: usize| {
             let opts = ShardOptions {
                 threads,
-                window: SimDuration::from_mins(1),
+                ..ShardOptions::default()
             };
             let run = replay_sharded(&config, fleet(), &opts).expect("replay succeeds");
             let report = serde_json::to_string(&run.report).expect("report serializes");

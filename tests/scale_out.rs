@@ -111,7 +111,7 @@ fn sharded_snapshot(threads: usize, fault_rate: f64, plan_cache: bool) -> (Strin
     let config = builder.build().expect("valid config");
     let opts = ShardOptions {
         threads,
-        window: SimDuration::from_mins(1),
+        ..ShardOptions::default()
     };
     let run = replay_sharded(&config, azure_fleet(), &opts).expect("replay succeeds");
     let report = serde_json::to_string(&run.report).expect("report serializes");

@@ -15,6 +15,7 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 use xanadu::cli::{execute_with_exports, parse_args, CliError, Command, ExportFile};
 use xanadu::serve::{run_record, run_serve, RecordArgs, ServeArgs};
+use xanadu_core::speculation::ExecutionMode;
 use xanadu_core::{CountMinSketch, SpaceSaving};
 use xanadu_platform::{AuditCheckpoint, SegmentLog};
 use xanadu_workloads::stream::{GeneratedStream, StreamSource};
@@ -57,7 +58,7 @@ fn base_args(dir: &Path, strict_slo: bool) -> ServeArgs {
         depth: DEPTH,
         rate_per_hour: RATE,
         seed: SEED,
-        mode: xanadu_core::speculation::ExecutionMode::Jit,
+        mode: ExecutionMode::Jit,
         checkpoint_dir: dir.join("ck").to_string_lossy().into_owned(),
         checkpoint_every: EPOCH,
         alerts_out: Some(dir.join("alerts.jsonl").to_string_lossy().into_owned()),
@@ -72,6 +73,30 @@ fn base_args(dir: &Path, strict_slo: bool) -> ServeArgs {
         bench_out: None,
         fail_on_alert: false,
     }
+}
+
+/// Records the shared stream population into `dir` and returns its path.
+fn record_stream(dir: &Path) -> String {
+    let path = dir.join("stream.jsonl").to_string_lossy().into_owned();
+    let record = RecordArgs {
+        out: path.clone(),
+        events: EVENTS,
+        workflows: WORKFLOWS,
+        depth: DEPTH,
+        rate_per_hour: RATE,
+        seed: SEED,
+    };
+    let mut exports = Vec::new();
+    run_record(&record, &mut exports).unwrap();
+    std::fs::write(&path, &exports[0].contents).unwrap();
+    path
+}
+
+/// A copy of `args` with one knob changed.
+fn with(args: &ServeArgs, change: impl FnOnce(&mut ServeArgs)) -> ServeArgs {
+    let mut changed = args.clone();
+    change(&mut changed);
+    changed
 }
 
 /// Runs serve to completion (optionally pausing after `pause_after`
@@ -223,8 +248,9 @@ fn serve_audit_stays_drained_and_ids_stay_global() {
     );
 }
 
-/// Resuming against a different stream or a different epoch cadence is
-/// a hard error, not a silent divergence.
+/// Resuming against a different stream or epoch cadence, with a knob
+/// that changes what the epochs simulate, or from an old cursor layout
+/// is a hard error, not a silent blend of two configurations.
 #[test]
 fn resume_guards_reject_mismatches() {
     let dir = scratch_dir("guards");
@@ -240,11 +266,42 @@ fn resume_guards_reject_mismatches() {
         "{err}"
     );
 
-    let mut other_cadence = args.clone();
-    other_cadence.checkpoint_every = EPOCH * 2;
-    let err = run_serve(&other_cadence, &read_file, &mut Vec::new()).unwrap_err();
+    // A recorded stream fixes the arrivals, so a changed --seed reaches
+    // only the epoch platforms and must be caught by the cursor itself.
+    let mut recorded = base_args(&scratch_dir("guards-recorded"), false);
+    recorded.stream = Some(record_stream(&dir));
+    recorded.stop_after_checkpoints = 1;
+    run_serve(&recorded, &read_file, &mut Vec::new()).unwrap();
+
+    let strict_slo = base_args(&dir, true).slo;
+    for (flag, changed) in [
+        (
+            "--checkpoint-every",
+            with(&args, |a| a.checkpoint_every = EPOCH * 2),
+        ),
+        ("--slo-window-secs", with(&args, |a| a.slo_window_secs = 30)),
+        ("--seed", with(&recorded, |a| a.seed = SEED + 1)),
+        ("--mode", with(&args, |a| a.mode = ExecutionMode::Cold)),
+        ("--sketch-edges", with(&args, |a| a.sketch_edges = 32)),
+        ("--slo", with(&args, |a| a.slo = strict_slo)),
+    ] {
+        let err = run_serve(&changed, &read_file, &mut Vec::new()).unwrap_err();
+        assert!(
+            matches!(&err, CliError::BadValue { flag: f, .. } if f == flag),
+            "{flag}: {err}"
+        );
+    }
+
+    // A version-1 cursor predates those guards: refuse it on its version
+    // alone, before reading any other field.
+    let cursor_v1 = serde_json::json!({"version": 1});
+    SegmentLog::open(dir.join("ck"))
+        .unwrap()
+        .append(&[("serve/cursor".to_string(), cursor_v1)])
+        .unwrap();
+    let err = run_serve(&args, &read_file, &mut Vec::new()).unwrap_err();
     assert!(
-        matches!(&err, CliError::Workflow(m) if m.contains("boundaries must match")),
+        matches!(&err, CliError::Workflow(m) if m.contains("cursor version 1")),
         "{err}"
     );
 }
@@ -253,26 +310,10 @@ fn resume_guards_reject_mismatches() {
 /// flags would produce: both paths end in byte-identical audits.
 #[test]
 fn recorded_and_generated_streams_are_equivalent() {
-    let dir = scratch_dir("roundtrip");
-    let stream_path = dir.join("stream.jsonl");
-    let mut exports = Vec::new();
-    run_record(
-        &RecordArgs {
-            out: stream_path.to_string_lossy().into_owned(),
-            events: EVENTS,
-            workflows: WORKFLOWS,
-            depth: DEPTH,
-            rate_per_hour: RATE,
-            seed: SEED,
-        },
-        &mut exports,
-    )
-    .unwrap();
-    std::fs::write(&stream_path, &exports[0].contents).unwrap();
-
+    let stream = record_stream(&scratch_dir("roundtrip"));
     let replay_dir = scratch_dir("roundtrip-replay");
     let mut args = base_args(&replay_dir, true);
-    args.stream = Some(stream_path.to_string_lossy().into_owned());
+    args.stream = Some(stream);
     let mut exports = Vec::new();
     run_serve(&args, &read_file, &mut exports).unwrap();
     let audit = &exports

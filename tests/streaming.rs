@@ -165,7 +165,7 @@ fn streaming_exports_are_byte_identical_at_any_thread_width() {
         };
         let opts = ShardOptions {
             threads,
-            window: SimDuration::from_secs(60),
+            ..ShardOptions::default()
         };
         let run = replay_sharded_with(&config, fleet(6, 5), &opts, &telemetry).unwrap();
         let audit = streaming_json_string(run.streaming.as_ref().unwrap());
