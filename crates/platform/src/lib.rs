@@ -76,6 +76,6 @@ pub use shard::{
 };
 pub use sim::{report_total_costs, LearnedState, Platform, PlatformError};
 pub use stream::{
-    AuditCheckpoint, ClusterActivity, SloAlert, SloCheckpoint, SloConfig, SloMonitor, SloReport,
-    StreamingAudit, StreamingConfig, StreamingSummary,
+    AuditCheckpoint, ClusterActivity, SloAlert, SloCheckpoint, SloConfig, SloFinal, SloMonitor,
+    SloReport, SloWindow, StreamingAudit, StreamingConfig, StreamingSummary,
 };

@@ -1106,6 +1106,86 @@ pub struct SloCheckpoint {
     pub alerts: Vec<SloAlert>,
 }
 
+/// The windows and alerts that became final between two checkpoints
+/// (see [`SloCheckpoint::split`]).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct SloFinal {
+    /// Newly final windows, index-ordered.
+    pub windows: Vec<SloWindow>,
+    /// Alerts raised on those windows, in emission order.
+    pub alerts: Vec<SloAlert>,
+}
+
+impl SloCheckpoint {
+    /// Splits off what became final after the evaluation cursor `since`
+    /// (the `evaluated` of the previous split): the windows with index in
+    /// `(since, evaluated]` and the alerts raised on them. A window at or
+    /// below `evaluated` is final — [`SloMonitor::merge_from`] refuses
+    /// any later update to it — so each one is split off exactly once.
+    ///
+    /// The returned open part keeps the windows above `evaluated`, the
+    /// baseline index and the cursor, and no alerts; windows at or below
+    /// `since` are dropped, since an earlier split already returned them.
+    pub fn split(mut self, since: Option<u64>) -> (SloFinal, SloCheckpoint) {
+        let evaluated = self.evaluated;
+        let is_new = |window: u64| since.is_none_or(|s| window > s);
+        let (closed, open): (Vec<SloWindow>, Vec<SloWindow>) = std::mem::take(&mut self.windows)
+            .into_iter()
+            .partition(|w| evaluated.is_some_and(|e| w.index <= e));
+        let fresh = SloFinal {
+            windows: closed.into_iter().filter(|w| is_new(w.index)).collect(),
+            alerts: std::mem::take(&mut self.alerts)
+                .into_iter()
+                .filter(|a| is_new(a.window))
+                .collect(),
+        };
+        self.windows = open;
+        (fresh, self)
+    }
+
+    /// Inverse of [`split`](Self::split): rebuilds the full checkpoint
+    /// from an open part and every [`SloFinal`] split off before it, in
+    /// any order.
+    ///
+    /// # Errors
+    /// Names the window when a final window lies above the evaluation
+    /// cursor or appears more than once.
+    pub fn rejoin(
+        mut self,
+        finals: impl IntoIterator<Item = SloFinal>,
+    ) -> Result<SloCheckpoint, String> {
+        let mut windows = BTreeMap::new();
+        let mut alerts = Vec::new();
+        for fin in finals {
+            for w in fin.windows {
+                if self.evaluated.is_none_or(|e| w.index > e) {
+                    return Err(format!(
+                        "final window {} lies above the evaluation cursor {:?}",
+                        w.index, self.evaluated
+                    ));
+                }
+                let index = w.index;
+                if windows.insert(index, w).is_some() {
+                    return Err(format!("final window {index} appears twice"));
+                }
+            }
+            alerts.extend(fin.alerts);
+        }
+        for w in std::mem::take(&mut self.windows) {
+            let index = w.index;
+            if windows.insert(index, w).is_some() {
+                return Err(format!("open window {index} is also final"));
+            }
+        }
+        // Alerts are raised in window order and, within a window, in gate
+        // order; a stable sort restores that order from any document order.
+        alerts.sort_by_key(|a: &SloAlert| a.window);
+        self.windows = windows.into_values().collect();
+        self.alerts = alerts;
+        Ok(self)
+    }
+}
+
 /// Evaluates windowed telemetry against [`DiffThresholds`], live or
 /// post-merge.
 ///
@@ -1272,6 +1352,12 @@ impl SloMonitor {
         &self.alerts
     }
 
+    /// Highest window index already evaluated: that window and every one
+    /// below it are final.
+    pub fn evaluated(&self) -> Option<u64> {
+        self.evaluated
+    }
+
     /// Closes the stream: evaluates the final (still-open) window and
     /// returns any remaining alerts. Collector-mode monitors defer all
     /// evaluation to [`report`](Self::report) and return nothing.
@@ -1292,7 +1378,8 @@ impl SloMonitor {
     }
 
     /// Folds another monitor's windows into this one (shard merge; both
-    /// must be drained). Window width must match.
+    /// must be drained). Window width must match, and no incoming window
+    /// may be final here (index at or below [`evaluated`](Self::evaluated)).
     pub fn merge_from(&mut self, other: &SloMonitor) {
         assert!(
             self.tracker.pending.is_empty() && other.tracker.pending.is_empty(),
@@ -1301,6 +1388,14 @@ impl SloMonitor {
         assert_eq!(
             self.config.window, other.config.window,
             "merging SLO monitors with different window widths"
+        );
+        assert!(
+            other
+                .windows
+                .keys()
+                .next()
+                .is_none_or(|&first| self.evaluated.is_none_or(|e| first > e)),
+            "merging into an SLO window that is already final"
         );
         for (index, theirs) in &other.windows {
             let mine = self
@@ -1831,6 +1926,79 @@ mod tests {
 
         assert_eq!(shard_a.report(), live.report());
         assert!(!live.report().alerts.is_empty());
+    }
+
+    /// A collector holding one request completing in each listed window
+    /// (1 s windows, request ids starting at `first_request`). Requests
+    /// take 100 ms, except in window 4, where a 300 ms request breaches
+    /// the p95 gate against the baseline.
+    fn collector_with(first_request: u64, windows: &[u64]) -> SloMonitor {
+        let mut slo = SloMonitor::collector(slo_config(1));
+        for (i, w) in windows.iter().enumerate() {
+            let e2e = if *w == 4 { 300 } else { 100 };
+            feed(
+                &mut slo,
+                &simple_request(first_request + i as u64, w * 1_000 + 100, e2e),
+            );
+        }
+        slo
+    }
+
+    #[test]
+    fn split_then_rejoin_round_trips_every_checkpoint() {
+        let mut slo = collector_with(1, &[0, 1, 3]);
+        slo.evaluate_below(2);
+        let first = slo.checkpoint();
+        let (final_a, open_a) = first.clone().split(None);
+        assert_eq!(
+            final_a.windows.iter().map(|w| w.index).collect::<Vec<_>>(),
+            [0, 1]
+        );
+        assert_eq!(
+            open_a.windows.iter().map(|w| w.index).collect::<Vec<_>>(),
+            [3]
+        );
+        assert!(open_a.alerts.is_empty(), "alerts travel with final windows");
+        assert_eq!(open_a.clone().rejoin([final_a.clone()]), Ok(first));
+
+        // A later epoch adds windows above the cursor, one of them
+        // breaching; the next split returns only what became final since.
+        slo.merge_from(&collector_with(10, &[3, 4, 6]));
+        slo.evaluate_below(6);
+        let second = slo.checkpoint();
+        let (final_b, open_b) = second.clone().split(open_a.evaluated);
+        assert_eq!(
+            final_b.windows.iter().map(|w| w.index).collect::<Vec<_>>(),
+            [3, 4]
+        );
+        assert!(!final_b.alerts.is_empty(), "window 4 breaches p95");
+        assert!(final_b.alerts.iter().all(|a| a.window == 4));
+        let rejoined = open_b
+            .clone()
+            .rejoin([final_b.clone(), final_a.clone()])
+            .unwrap();
+        assert_eq!(rejoined, second, "document order does not matter");
+        assert_eq!(
+            SloMonitor::from_checkpoint(&rejoined).report(),
+            slo.report()
+        );
+
+        let twice = open_b.clone().rejoin([final_a.clone(), final_a]);
+        assert!(twice.unwrap_err().contains("window 0 appears twice"));
+        let (early, _) = second.split(None);
+        assert!(open_a
+            .rejoin([early])
+            .unwrap_err()
+            .contains("final window 3"));
+    }
+
+    #[test]
+    #[should_panic(expected = "already final")]
+    fn a_late_fold_below_the_evaluation_cursor_is_rejected() {
+        let mut slo = collector_with(1, &[0, 3]);
+        slo.evaluate_below(2);
+        assert_eq!(slo.evaluated(), Some(0));
+        slo.merge_from(&collector_with(10, &[0]));
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //! `serve` turns the batch simulator into a long-running service. A
 //! trigger stream (replayed from a `xanadu record` file or regenerated
 //! from a seed) is consumed in fixed-size *epochs*; after each epoch the
-//! full service state — streaming audit, SLO windows, learning sketches,
-//! learned chain profiles and the stream cursor — is appended to a
-//! [`SegmentLog`] under `--checkpoint-dir`. Killing the process between
+//! service state — streaming audit, the SLO windows that became final
+//! during the epoch plus the still-open ones, learning sketches, learned
+//! chain profiles and the stream cursor — is appended to a
+//! [`SegmentLog`] under `--checkpoint-dir`, so each segment is the size
+//! of one epoch, not of the history so far. Killing the process between
 //! checkpoints loses nothing that was durable: rerunning the same
 //! command replays the manifest, resumes at the recorded cursor and
 //! produces **byte-identical** final audit and alert exports, because
@@ -46,7 +48,7 @@ use xanadu_platform::export::{
 };
 use xanadu_platform::{
     AuditCheckpoint, BusEvent, DiffThresholds, Platform, PlatformConfig, SegmentLog, SloCheckpoint,
-    SloConfig, SloMonitor, StreamingAudit, StreamingConfig,
+    SloConfig, SloFinal, SloMonitor, StreamingAudit, StreamingConfig,
 };
 use xanadu_simcore::{fnv1a64, RngStream, SimDuration};
 use xanadu_workloads::stream::{
@@ -122,11 +124,15 @@ pub struct RecordArgs {
 const DOC_CURSOR: &str = "serve/cursor";
 const DOC_AUDIT: &str = "serve/audit";
 const DOC_SLO: &str = "serve/slo";
+/// Prefix of the per-epoch documents holding the SLO windows and alerts
+/// that became final during that epoch (`serve/slo-final/<epoch:06>`).
+const DOC_SLO_FINAL: &str = "serve/slo-final/";
 const DOC_SKETCH: &str = "serve/sketch";
 const LEARNED_DOCS: [&str; 2] = ["learned/metrics", "learned/branches"];
 
-/// [`ServeCursor`] layout version; 2 added seed, mode, sketch and SLO.
-const CURSOR_VERSION: u64 = 2;
+/// [`ServeCursor`] layout version; 2 added seed, mode, sketch and SLO;
+/// 3 split the SLO checkpoint into per-epoch final documents.
+const CURSOR_VERSION: u64 = 3;
 
 /// The resume cursor: where in the stream the durable state ends, and
 /// every knob a resume must repeat (see `load_state`).
@@ -296,8 +302,16 @@ fn load_state(
     };
     let audit_cp: AuditCheckpoint =
         serde_json::from_value(typed(DOC_AUDIT)?).map_err(|e| bad_doc(DOC_AUDIT, &e))?;
-    let slo_cp: SloCheckpoint =
+    let open_slo: SloCheckpoint =
         serde_json::from_value(typed(DOC_SLO)?).map_err(|e| bad_doc(DOC_SLO, &e))?;
+    let finals = durable
+        .query_prefix(DOC_SLO_FINAL)
+        .into_iter()
+        .map(|(id, doc)| {
+            serde_json::from_value::<SloFinal>(doc.clone()).map_err(|e| bad_doc(id, &e))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let slo_cp = open_slo.rejoin(finals).map_err(|e| bad_doc(DOC_SLO, &e))?;
     // Every knob that shapes what the epochs simulate must match the
     // checkpoint, or the resumed run would blend two configurations.
     let secs = |us: u64| format!("{}s", us as f64 / 1e6);
@@ -523,6 +537,7 @@ pub fn run_serve(
         } else {
             u64::MAX
         };
+        let final_since = state.slo.evaluated();
         let fresh_alerts = state.slo.evaluate_below(horizon);
         if !fresh_alerts.is_empty() {
             if let Some(path) = &serve.alerts_out {
@@ -568,7 +583,10 @@ pub fn run_serve(
             epochs: state.epoch,
             alerts_emitted: state.slo.alerts().len() as u64,
         };
-        let mut docs: Vec<(String, Value)> = Vec::with_capacity(6);
+        // Windows final before this epoch are already durable in earlier
+        // segments; this one adds only what became final since.
+        let (slo_final, slo_open) = state.slo.checkpoint().split(final_since);
+        let mut docs: Vec<(String, Value)> = Vec::with_capacity(7);
         for id in LEARNED_DOCS {
             if let Some((doc, _)) = durable.get(id) {
                 docs.push((id.to_string(), doc.clone()));
@@ -580,7 +598,11 @@ pub fn run_serve(
         ));
         docs.push((
             DOC_SLO.to_string(),
-            serde_json::to_value(state.slo.checkpoint()).expect("slo checkpoint serializes"),
+            serde_json::to_value(&slo_open).expect("slo checkpoint serializes"),
+        ));
+        docs.push((
+            format!("{DOC_SLO_FINAL}{:06}", state.epoch - 1),
+            serde_json::to_value(&slo_final).expect("final slo windows serialize"),
         ));
         docs.push((
             DOC_SKETCH.to_string(),

@@ -17,7 +17,7 @@ use xanadu::cli::{execute_with_exports, parse_args, CliError, Command, ExportFil
 use xanadu::serve::{run_record, run_serve, RecordArgs, ServeArgs};
 use xanadu_core::speculation::ExecutionMode;
 use xanadu_core::{CountMinSketch, SpaceSaving};
-use xanadu_platform::{AuditCheckpoint, SegmentLog};
+use xanadu_platform::{AuditCheckpoint, SegmentLog, SloCheckpoint, SloFinal, SloMonitor};
 use xanadu_workloads::stream::{GeneratedStream, StreamSource};
 
 /// Stream population every test below shares: 4 workflows × depth 3 at
@@ -292,17 +292,120 @@ fn resume_guards_reject_mismatches() {
         );
     }
 
-    // A version-1 cursor predates those guards: refuse it on its version
-    // alone, before reading any other field.
-    let cursor_v1 = serde_json::json!({"version": 1});
-    SegmentLog::open(dir.join("ck"))
-        .unwrap()
-        .append(&[("serve/cursor".to_string(), cursor_v1)])
-        .unwrap();
-    let err = run_serve(&args, &read_file, &mut Vec::new()).unwrap_err();
+    // A version-1 cursor predates those guards, and a version-2 log keeps
+    // every SLO window in one document: refuse both on the version alone,
+    // before reading any other field.
+    for version in [1, 2] {
+        let cursor = serde_json::json!({ "version": version });
+        SegmentLog::open(dir.join("ck"))
+            .unwrap()
+            .append(&[("serve/cursor".to_string(), cursor)])
+            .unwrap();
+        let err = run_serve(&args, &read_file, &mut Vec::new()).unwrap_err();
+        assert!(
+            matches!(&err, CliError::Workflow(m)
+                if m.contains(&format!("cursor version {version}"))
+                    && m.contains("point --checkpoint-dir at a fresh directory")),
+            "{err}"
+        );
+    }
+}
+
+/// The raw documents of every segment in the checkpoint log at `ck`, in
+/// segment order, with each segment's size in bytes.
+fn segments(ck: &Path) -> Vec<(u64, serde_json::Map<String, serde_json::Value>)> {
+    let manifest = SegmentLog::open(ck).unwrap().manifest().unwrap();
+    manifest
+        .segments
+        .iter()
+        .map(|seg| {
+            let text = std::fs::read_to_string(ck.join(&seg.file)).unwrap();
+            let body: serde_json::Value = serde_json::from_str(&text).unwrap();
+            (text.len() as u64, body.as_object().unwrap().clone())
+        })
+        .collect()
+}
+
+/// Each segment writes only what became final during its epoch: every
+/// final SLO window lands in exactly one `serve/slo-final/*` document,
+/// and those documents rejoined with the open `serve/slo` part give
+/// exactly the windows and alerts of the uninterrupted run's SLO export,
+/// whether the log was written in one go or paused and resumed.
+#[test]
+fn final_slo_windows_are_written_once_and_rejoin_to_the_export() {
+    let export: serde_json::Value = serde_json::from_str(&golden().1).unwrap();
+    for pause in [0, 2] {
+        let dir = scratch_dir(&format!("layout-{pause}"));
+        run_to_end(&dir, true, (pause > 0).then_some(pause));
+        let ck = dir.join("ck");
+
+        let mut written: Vec<u64> = Vec::new();
+        for (_, docs) in segments(&ck) {
+            let finals: Vec<_> = docs
+                .iter()
+                .filter(|(id, _)| id.starts_with("serve/slo-final/"))
+                .collect();
+            assert_eq!(finals.len(), 1, "one final document per segment");
+            let fresh: SloFinal = serde_json::from_value(finals[0].1.clone()).unwrap();
+            written.extend(fresh.windows.iter().map(|w| w.index));
+        }
+        let exported: Vec<u64> = export["windows"]
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|w| w["index"].as_u64().unwrap())
+            .collect();
+        written.sort_unstable();
+        assert_eq!(
+            written, exported,
+            "pause {pause}: every window is final once, in exactly one document"
+        );
+
+        let store = SegmentLog::open(&ck).unwrap().replay().unwrap();
+        let open: SloCheckpoint =
+            serde_json::from_value(store.get("serve/slo").unwrap().0.clone()).unwrap();
+        assert!(open.windows.is_empty(), "nothing stays open at stream end");
+        let finals = store
+            .query_prefix("serve/slo-final/")
+            .into_iter()
+            .map(|(_, doc)| serde_json::from_value::<SloFinal>(doc.clone()).unwrap());
+        let report = SloMonitor::from_checkpoint(&open.rejoin(finals).unwrap()).report();
+        assert_eq!(
+            serde_json::to_value(&report.windows).unwrap(),
+            export["windows"],
+            "pause {pause}: rejoined windows"
+        );
+        assert_eq!(
+            serde_json::to_value(&report.alerts).unwrap(),
+            export["alerts"],
+            "pause {pause}: rejoined alerts"
+        );
+    }
+}
+
+/// Checkpoint segments stay the size of one epoch instead of growing
+/// with the window history: over 24 epochs the largest segment is at
+/// most twice the smallest. (A bound against the median would be too
+/// weak: a log growing linearly from a non-zero base always keeps its
+/// largest segment under twice its median one.) Ten-second windows make
+/// the SLO documents the bulk of each segment.
+#[test]
+fn checkpoint_segments_do_not_grow_with_the_stream() {
+    let dir = scratch_dir("growth");
+    let mut args = base_args(&dir, true);
+    args.events = 1_200;
+    args.checkpoint_every = 50;
+    args.slo_window_secs = 10;
+    run_serve(&args, &read_file, &mut Vec::new()).unwrap();
+    let sizes: Vec<u64> = segments(&dir.join("ck"))
+        .iter()
+        .map(|(len, _)| *len)
+        .collect();
+    assert_eq!(sizes.len(), 24);
+    let (smallest, largest) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
     assert!(
-        matches!(&err, CliError::Workflow(m) if m.contains("cursor version 1")),
-        "{err}"
+        *largest <= 2 * smallest,
+        "segments range from {smallest} to {largest} bytes: {sizes:?}"
     );
 }
 
