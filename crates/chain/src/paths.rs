@@ -11,7 +11,7 @@
 use crate::dag::{BranchMode, WorkflowDag};
 use crate::id::NodeId;
 use crate::nodeset::NodeSet;
-use serde::{Deserialize, Error, Serialize, Value};
+use serde::{Deserialize, Error, Map, Serialize, Value};
 use std::collections::HashMap;
 
 /// One possible execution outcome of a workflow: the set of activated
@@ -58,7 +58,7 @@ impl ExecutionOutcome {
 
 impl Serialize for ExecutionOutcome {
     fn to_json(&self) -> Value {
-        let mut obj = std::collections::BTreeMap::new();
+        let mut obj = Map::with_capacity(2);
         obj.insert("nodes".to_string(), self.nodes.to_json());
         obj.insert("probability".to_string(), self.probability.to_json());
         Value::Object(obj)
