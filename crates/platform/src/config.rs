@@ -129,12 +129,13 @@ pub struct PlatformConfig {
     /// paper's related work (§6), used by the `abl-pool` ablation as a
     /// cost foil for JIT speculation.
     pub static_prewarm: usize,
-    /// Record per-request artifacts: the orchestration timeline
-    /// ([`Trace`](crate::timeline::Trace)) of every request plus its
-    /// `runs/{id}` metadata-store document. On by default — audits, the
-    /// CLI's `--trace` rendering and Chrome export all read them.
-    /// Fleet-scale replays (millions of invocations) turn this off so
-    /// per-request memory stays flat; aggregate results and metrics are
+    /// Record the orchestration timeline
+    /// ([`Trace`](crate::timeline::Trace)) of every request. On by
+    /// default — trace-based audits, the CLI's `--trace` rendering and
+    /// Chrome export read them. The sharded driver
+    /// ([`replay_sharded`](crate::shard::replay_sharded)) turns it off on
+    /// every shard, so fleet-scale replays hold no timelines and audit
+    /// through the streaming path instead. Results and metrics are
     /// unaffected either way.
     #[serde(default = "default_record_traces")]
     pub record_traces: bool,
@@ -285,7 +286,7 @@ impl PlatformConfigBuilder {
         self
     }
 
-    /// Whether per-request traces and run documents are recorded.
+    /// Whether per-request traces are recorded.
     pub fn record_traces(mut self, record: bool) -> Self {
         self.config.record_traces = record;
         self

@@ -4,8 +4,8 @@
 //! branch-related metadata", chosen for "native JSON data support" (§4).
 //! This in-memory store preserves that usage pattern: JSON documents keyed
 //! by id, optimistic concurrency via revision numbers, and prefix queries
-//! for scanning related documents (function profiles, branch trees, run
-//! results).
+//! for scanning related documents (deployed workflows, learned metrics
+//! and branch trees).
 
 use serde::{Deserialize, Serialize};
 use serde_json::{Map, Value};
@@ -343,7 +343,7 @@ mod tests {
         let mut s = MetaStore::new();
         s.put("profile/b", json!(2));
         s.put("profile/a", json!(1));
-        s.put("runs/0", json!(0));
+        s.put("workflow/a", json!(0));
         let profiles = s.query_prefix("profile/");
         assert_eq!(profiles.len(), 2);
         assert_eq!(profiles[0].0, "profile/a");

@@ -29,7 +29,12 @@
 //!   `(time, shard, local sequence)`, shards ordered by workflow name;
 //! * worker ids are remapped by prefix sums of per-shard worker counts
 //!   in the same shard order;
-//! * results and traces are emitted in global-request-id order.
+//! * results are emitted in global-request-id order.
+//!
+//! Shards record no per-request traces (each shard's config has
+//! [`record_traces`](PlatformConfig::record_traces) off), so memory grows
+//! with the fleet's results, not with its timelines. A fleet-wide audit
+//! streams instead: set [`ShardTelemetry::streaming`].
 //!
 //! Thread scheduling can only change which thread runs a shard and
 //! when, never which events a shard sees or in what order.
@@ -57,7 +62,6 @@ use crate::obs::MetricsRegistry;
 use crate::result::{PlatformReport, RunResult};
 use crate::sim::{Platform, PlatformError};
 use crate::stream::{SloConfig, SloMonitor, StreamingAudit, StreamingConfig};
-use crate::timeline::Trace;
 
 /// One logical shard's input: a workflow and its trigger schedule.
 #[derive(Debug, Clone)]
@@ -181,10 +185,6 @@ pub struct ShardedRun {
     /// order, worker ids remapped by shard prefix sums, `metrics`
     /// always `None`. Byte-identical for any `threads`.
     pub report: PlatformReport,
-    /// Per-request orchestration timelines keyed by global request id,
-    /// ascending. Empty when the config disables
-    /// [`record_traces`](PlatformConfig::record_traces).
-    pub traces: Vec<(u64, Trace)>,
     /// Number of logical shards (= workflows) the fleet was split into.
     pub logical_shards: usize,
     /// Total simulation events processed across all shards.
@@ -217,8 +217,6 @@ struct ShardOutput {
     name: String,
     triggers: Vec<SimTime>,
     report: PlatformReport,
-    /// `(local request id, trace)`, present only when traces are on.
-    traces: Vec<(u64, Trace)>,
     events: u64,
     queue_peak: u64,
     streaming: Option<StreamingAudit>,
@@ -232,7 +230,9 @@ struct ShardOutput {
 /// Each workflow runs on its own [`Platform`] cloned from `base` with
 /// per-shard seeds derived from `(base.seed, workflow name)` (and
 /// likewise for the fault seed), so adding, removing or renaming one
-/// workflow never perturbs the others' simulations.
+/// workflow never perturbs the others' simulations. Shards never record
+/// per-request traces, whatever `base.record_traces` says; audit a fleet
+/// with [`replay_sharded_with`] and [`ShardTelemetry::streaming`].
 ///
 /// # Errors
 ///
@@ -279,7 +279,8 @@ pub fn replay_sharded(
 ///
 /// The merged report bytes are identical to a telemetry-free run — the
 /// observers only *read* the event stream — and every telemetry export
-/// is itself byte-identical at any `threads` width.
+/// is itself byte-identical at any `threads` width. The streaming audit
+/// is the fleet's audit: shards keep no traces to build one from.
 pub fn replay_sharded_with(
     base: &PlatformConfig,
     workloads: Vec<ShardWorkload>,
@@ -315,7 +316,6 @@ pub fn replay_sharded_with(
     if logical_shards == 0 {
         return Ok(ShardedRun {
             report: PlatformReport::default(),
-            traces: Vec::new(),
             logical_shards: 0,
             events_processed: 0,
             streaming: telemetry.streaming.map(StreamingAudit::new),
@@ -388,6 +388,7 @@ fn run_shard(base: &PlatformConfig, input: ShardInput, telemetry: &ShardTelemetr
     // placement.
     config.seed = RngStream::derive(base.seed, &input.name).next_u64();
     config.faults.seed = RngStream::derive(base.faults.seed, &input.name).next_u64();
+    config.record_traces = false;
     let mut platform = Platform::new(config);
     platform.reserve_invocations(input.triggers.len());
     platform
@@ -413,17 +414,12 @@ fn run_shard(base: &PlatformConfig, input: ShardInput, telemetry: &ShardTelemetr
         .metrics
         .then(|| platform.attach_observer(MetricsRegistry::new()));
     let events = platform.run_until_idle();
-
-    let traces: Vec<(u64, Trace)> = (0..input.triggers.len() as u64)
-        .filter_map(|req| platform.trace(req).cloned().map(|t| (req, t)))
-        .collect();
     let queue_peak = platform.queue_peak() as u64;
     ShardOutput {
         index: input.index,
         name: input.name,
         triggers: input.triggers,
         report: platform.finish(),
-        traces,
         events,
         queue_peak,
         streaming: streaming.map(|h| h.snapshot()),
@@ -483,7 +479,6 @@ fn merge(outputs: Vec<ShardOutput>, logical_shards: usize) -> ShardedRun {
     }
 
     let mut results: Vec<RunResult> = Vec::with_capacity(order.len());
-    let mut traces: Vec<(u64, Trace)> = Vec::new();
     let mut records = Vec::new();
     let mut events_processed = 0u64;
     let mut worker_offset = 0u64;
@@ -497,9 +492,6 @@ fn merge(outputs: Vec<ShardOutput>, logical_shards: usize) -> ShardedRun {
         for mut r in out.report.results {
             r.request = map[r.request as usize];
             results.push(r);
-        }
-        for (local, trace) in out.traces {
-            traces.push((map[local as usize], trace));
         }
         // finish() sorts records by id and ids are dense per platform,
         // so offsetting by (max id + 1) keeps the merged ledger dense.
@@ -552,7 +544,6 @@ fn merge(outputs: Vec<ShardOutput>, logical_shards: usize) -> ShardedRun {
         }
     }
     results.sort_by_key(|r| r.request);
-    traces.sort_by_key(|&(gid, _)| gid);
 
     ShardedRun {
         report: PlatformReport {
@@ -561,7 +552,6 @@ fn merge(outputs: Vec<ShardOutput>, logical_shards: usize) -> ShardedRun {
             metrics: None,
             cluster,
         },
-        traces,
         logical_shards,
         events_processed,
         streaming,
@@ -627,7 +617,6 @@ mod tests {
                 "threads={threads}"
             );
             assert_eq!(run.events_processed, baseline.events_processed);
-            assert_eq!(run.traces, baseline.traces);
         }
     }
 
@@ -719,20 +708,22 @@ mod tests {
     }
 
     #[test]
-    fn traces_cover_every_request_and_respect_the_gate() {
-        let run = run_with(2, false);
-        let ids: Vec<u64> = run.traces.iter().map(|&(id, _)| id).collect();
-        assert_eq!(ids, (0..30).collect::<Vec<u64>>());
-
-        let config = PlatformConfig::builder()
-            .for_mode(ExecutionMode::Jit, 77)
-            .record_traces(false)
-            .build()
-            .unwrap();
-        let silent =
-            replay_sharded(&config, fleet(2, 3), &ShardOptions::default()).expect("replay");
-        assert!(silent.traces.is_empty());
-        assert_eq!(silent.report.results.len(), 6);
+    fn trace_recording_in_the_base_config_never_changes_report_bytes() {
+        let opts = ShardOptions {
+            threads: 2,
+            ..ShardOptions::default()
+        };
+        let mut base = config(true);
+        assert!(base.record_traces, "on by default");
+        let recorded = replay_sharded(&base, fleet(5, 6), &opts).expect("replay");
+        base.record_traces = false;
+        let silent = replay_sharded(&base, fleet(5, 6), &opts).expect("replay");
+        assert_eq!(silent.report.results.len(), 30);
+        assert_eq!(
+            serde_json::to_string(&recorded.report).unwrap(),
+            serde_json::to_string(&silent.report).unwrap()
+        );
+        assert_eq!(recorded.events_processed, silent.events_processed);
     }
 
     fn run_with_telemetry(threads: usize) -> ShardedRun {

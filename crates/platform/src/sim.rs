@@ -1998,12 +1998,6 @@ impl Platform {
                 executed,
             },
         );
-        if self.config.record_traces {
-            self.metastore.put(
-                &format!("runs/{req}"),
-                serde_json::to_value(&result).expect("result serializes"),
-            );
-        }
         if self.observing(Topic::RequestCompleted) {
             self.emit(BusEvent::RequestCompleted {
                 request: req,
@@ -2700,7 +2694,6 @@ mod tests {
                 ..
             }
         )));
-        assert!(p.metastore().get("runs/0").is_some());
         assert!(p.metastore().get("workflow/chain").is_some());
     }
 

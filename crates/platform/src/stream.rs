@@ -548,27 +548,8 @@ pub struct StreamingSummary {
 #[derive(Debug, Clone)]
 pub struct StreamingAudit {
     tracker: RequestTracker,
-    config: StreamingConfig,
-    requests: u64,
-    end_to_end: Histogram,
-    exec: Histogram,
-    cold_start_wait: Histogram,
-    queue_wait: Histogram,
-    stall: Histogram,
-    exec_us: u64,
-    cold_us: u64,
-    queue_us: u64,
-    stall_us: u64,
-    mlp: MlpStats,
-    waste_deploys: u64,
-    wasted_us: u64,
-    jit_planned: u64,
-    jit_late: u64,
-    jit_on_time: u64,
-    late_ms: Histogram,
-    slack_ms: Histogram,
-    cluster: ClusterActivity,
-    exemplars: Vec<Exemplar>,
+    /// Every aggregate, in exactly the form a checkpoint stores it.
+    state: AuditCheckpoint,
 }
 
 impl Default for StreamingAudit {
@@ -582,33 +563,37 @@ impl StreamingAudit {
     pub fn new(config: StreamingConfig) -> Self {
         StreamingAudit {
             tracker: RequestTracker::new(config.exemplars > 0),
-            config,
-            requests: 0,
-            end_to_end: Histogram::latency(),
-            exec: Histogram::latency(),
-            cold_start_wait: Histogram::latency(),
-            queue_wait: Histogram::latency(),
-            stall: Histogram::latency(),
-            exec_us: 0,
-            cold_us: 0,
-            queue_us: 0,
-            stall_us: 0,
-            mlp: MlpStats::default(),
-            waste_deploys: 0,
-            wasted_us: 0,
-            jit_planned: 0,
-            jit_late: 0,
-            jit_on_time: 0,
-            late_ms: Histogram::latency(),
-            slack_ms: Histogram::latency(),
-            cluster: ClusterActivity::default(),
-            exemplars: Vec::new(),
+            state: AuditCheckpoint {
+                exemplars_cap: config.exemplars,
+                requests: 0,
+                end_to_end: Histogram::latency(),
+                exec: Histogram::latency(),
+                cold_start_wait: Histogram::latency(),
+                queue_wait: Histogram::latency(),
+                stall: Histogram::latency(),
+                exec_us: 0,
+                cold_us: 0,
+                queue_us: 0,
+                stall_us: 0,
+                mlp: MlpStats::default(),
+                waste_deploys: 0,
+                wasted_us: 0,
+                jit_planned: 0,
+                jit_late: 0,
+                jit_on_time: 0,
+                late_ms: Histogram::latency(),
+                slack_ms: Histogram::latency(),
+                cluster: ClusterActivity::default(),
+                exemplars: Vec::new(),
+            },
         }
     }
 
     /// The configured exemplar-reservoir size.
     pub fn config(&self) -> StreamingConfig {
-        self.config
+        StreamingConfig {
+            exemplars: self.state.exemplars_cap,
+        }
     }
 
     /// Requests currently in flight (bounded by concurrency; 0 once the
@@ -618,58 +603,58 @@ impl StreamingAudit {
     }
 
     fn fold(&mut self, digest: RequestDigest) {
-        self.requests += 1;
-        self.end_to_end
-            .observe(digest.end_to_end_us as f64 / 1000.0);
-        self.exec.observe(digest.exec_us as f64 / 1000.0);
-        self.cold_start_wait.observe(digest.cold_us as f64 / 1000.0);
-        self.queue_wait.observe(digest.queue_us as f64 / 1000.0);
-        self.stall.observe(digest.stall_us as f64 / 1000.0);
-        self.exec_us += digest.exec_us;
-        self.cold_us += digest.cold_us;
-        self.queue_us += digest.queue_us;
-        self.stall_us += digest.stall_us;
+        let agg = &mut self.state;
+        agg.requests += 1;
+        agg.end_to_end.observe(digest.end_to_end_us as f64 / 1000.0);
+        agg.exec.observe(digest.exec_us as f64 / 1000.0);
+        agg.cold_start_wait.observe(digest.cold_us as f64 / 1000.0);
+        agg.queue_wait.observe(digest.queue_us as f64 / 1000.0);
+        agg.stall.observe(digest.stall_us as f64 / 1000.0);
+        agg.exec_us += digest.exec_us;
+        agg.cold_us += digest.cold_us;
+        agg.queue_us += digest.queue_us;
+        agg.stall_us += digest.stall_us;
 
         for f in &digest.predicted {
-            let edge = self.mlp.per_function.entry(f.clone()).or_default();
+            let edge = agg.mlp.per_function.entry(f.clone()).or_default();
             edge.predicted += 1;
-            self.mlp.predicted += 1;
+            agg.mlp.predicted += 1;
             if digest.invoked.contains(f) {
                 edge.hits += 1;
-                self.mlp.hits += 1;
+                agg.mlp.hits += 1;
             }
         }
         for (depth, f) in digest.invoked.iter().enumerate() {
-            let edge = self.mlp.per_function.entry(f.clone()).or_default();
+            let edge = agg.mlp.per_function.entry(f.clone()).or_default();
             edge.invoked += 1;
-            self.mlp.invoked += 1;
+            agg.mlp.invoked += 1;
             if digest.missed.contains(f) {
                 edge.misses += 1;
-                self.mlp.misses += 1;
-                if self.mlp.miss_depth.len() <= depth {
-                    self.mlp.miss_depth.resize(depth + 1, 0);
+                agg.mlp.misses += 1;
+                if agg.mlp.miss_depth.len() <= depth {
+                    agg.mlp.miss_depth.resize(depth + 1, 0);
                 }
-                self.mlp.miss_depth[depth] += 1;
+                agg.mlp.miss_depth[depth] += 1;
             }
         }
 
-        self.waste_deploys += digest.unused_deploys;
-        self.wasted_us += digest.wasted_us;
+        agg.waste_deploys += digest.unused_deploys;
+        agg.wasted_us += digest.wasted_us;
 
         for s in digest.jit.iter().filter(|s| !s.on_demand) {
-            self.jit_planned += 1;
+            agg.jit_planned += 1;
             if s.lateness_ms > 0.0 {
-                self.jit_late += 1;
-                self.late_ms.observe(s.lateness_ms);
+                agg.jit_late += 1;
+                agg.late_ms.observe(s.lateness_ms);
             } else {
-                self.jit_on_time += 1;
-                self.slack_ms.observe(-s.lateness_ms);
+                agg.jit_on_time += 1;
+                agg.slack_ms.observe(-s.lateness_ms);
             }
         }
 
-        if self.config.exemplars > 0 {
+        if agg.exemplars_cap > 0 {
             if let Some(trace) = digest.trace {
-                self.exemplars.push(Exemplar {
+                agg.exemplars.push(Exemplar {
                     request: digest.request,
                     end_to_end_us: digest.end_to_end_us,
                     trace,
@@ -680,24 +665,24 @@ impl StreamingAudit {
     }
 
     fn sort_exemplars(&mut self) {
-        self.exemplars.sort_unstable_by(|a, b| {
+        self.state.exemplars.sort_unstable_by(|a, b| {
             b.end_to_end_us
                 .cmp(&a.end_to_end_us)
                 .then(a.request.cmp(&b.request))
         });
-        self.exemplars.truncate(self.config.exemplars);
+        self.state.exemplars.truncate(self.state.exemplars_cap);
     }
 
     /// The worst-request reservoir, worst first.
     pub fn exemplars(&self) -> &[Exemplar] {
-        &self.exemplars
+        &self.state.exemplars
     }
 
     /// Rewrites exemplar request ids (the sharded merge maps shard-local
     /// ids to global trigger-order ids), then restores the canonical
     /// reservoir order.
     pub(crate) fn remap_exemplar_requests(&mut self, mut map: impl FnMut(u64) -> u64) {
-        for e in &mut self.exemplars {
+        for e in &mut self.state.exemplars {
             e.request = map(e.request);
         }
         self.sort_exemplars();
@@ -719,48 +704,50 @@ impl StreamingAudit {
             self.tracker.pending.is_empty() && other.tracker.pending.is_empty(),
             "merging streaming audits with in-flight requests"
         );
-        self.requests += other.requests;
-        self.end_to_end.merge_from(&other.end_to_end);
-        self.exec.merge_from(&other.exec);
-        self.cold_start_wait.merge_from(&other.cold_start_wait);
-        self.queue_wait.merge_from(&other.queue_wait);
-        self.stall.merge_from(&other.stall);
-        self.exec_us += other.exec_us;
-        self.cold_us += other.cold_us;
-        self.queue_us += other.queue_us;
-        self.stall_us += other.stall_us;
-        for (name, edge) in &other.mlp.per_function {
-            let mine = self.mlp.per_function.entry(name.clone()).or_default();
+        let (acc, theirs) = (&mut self.state, &other.state);
+        acc.requests += theirs.requests;
+        acc.end_to_end.merge_from(&theirs.end_to_end);
+        acc.exec.merge_from(&theirs.exec);
+        acc.cold_start_wait.merge_from(&theirs.cold_start_wait);
+        acc.queue_wait.merge_from(&theirs.queue_wait);
+        acc.stall.merge_from(&theirs.stall);
+        acc.exec_us += theirs.exec_us;
+        acc.cold_us += theirs.cold_us;
+        acc.queue_us += theirs.queue_us;
+        acc.stall_us += theirs.stall_us;
+        for (name, edge) in &theirs.mlp.per_function {
+            let mine = acc.mlp.per_function.entry(name.clone()).or_default();
             mine.predicted += edge.predicted;
             mine.hits += edge.hits;
             mine.invoked += edge.invoked;
             mine.misses += edge.misses;
         }
-        self.mlp.predicted += other.mlp.predicted;
-        self.mlp.hits += other.mlp.hits;
-        self.mlp.invoked += other.mlp.invoked;
-        self.mlp.misses += other.mlp.misses;
-        if self.mlp.miss_depth.len() < other.mlp.miss_depth.len() {
-            self.mlp.miss_depth.resize(other.mlp.miss_depth.len(), 0);
+        acc.mlp.predicted += theirs.mlp.predicted;
+        acc.mlp.hits += theirs.mlp.hits;
+        acc.mlp.invoked += theirs.mlp.invoked;
+        acc.mlp.misses += theirs.mlp.misses;
+        if acc.mlp.miss_depth.len() < theirs.mlp.miss_depth.len() {
+            acc.mlp.miss_depth.resize(theirs.mlp.miss_depth.len(), 0);
         }
-        for (d, n) in other.mlp.miss_depth.iter().enumerate() {
-            self.mlp.miss_depth[d] += n;
+        for (d, n) in theirs.mlp.miss_depth.iter().enumerate() {
+            acc.mlp.miss_depth[d] += n;
         }
-        self.waste_deploys += other.waste_deploys;
-        self.wasted_us += other.wasted_us;
-        self.jit_planned += other.jit_planned;
-        self.jit_late += other.jit_late;
-        self.jit_on_time += other.jit_on_time;
-        self.late_ms.merge_from(&other.late_ms);
-        self.slack_ms.merge_from(&other.slack_ms);
-        self.cluster.merge_from(&other.cluster);
-        self.exemplars.extend(other.exemplars.iter().cloned());
+        acc.waste_deploys += theirs.waste_deploys;
+        acc.wasted_us += theirs.wasted_us;
+        acc.jit_planned += theirs.jit_planned;
+        acc.jit_late += theirs.jit_late;
+        acc.jit_on_time += theirs.jit_on_time;
+        acc.late_ms.merge_from(&theirs.late_ms);
+        acc.slack_ms.merge_from(&theirs.slack_ms);
+        acc.cluster.merge_from(&theirs.cluster);
+        acc.exemplars.extend(theirs.exemplars.iter().cloned());
         self.sort_exemplars();
     }
 
     /// The current run-level aggregates.
     pub fn summary(&self) -> StreamingSummary {
-        let mut mlp = self.mlp.clone();
+        let agg = &self.state;
+        let mut mlp = agg.mlp.clone();
         mlp.precision = if mlp.predicted == 0 {
             1.0
         } else {
@@ -772,35 +759,36 @@ impl StreamingAudit {
             1.0 - mlp.misses as f64 / mlp.invoked as f64
         };
         StreamingSummary {
-            requests: self.requests,
-            end_to_end: self.end_to_end.clone(),
-            exec: self.exec.clone(),
-            cold_start_wait: self.cold_start_wait.clone(),
-            queue_wait: self.queue_wait.clone(),
-            stall: self.stall.clone(),
-            exec_ms: self.exec_us as f64 / 1000.0,
-            cold_start_wait_ms: self.cold_us as f64 / 1000.0,
-            queue_wait_ms: self.queue_us as f64 / 1000.0,
-            stall_ms: self.stall_us as f64 / 1000.0,
+            requests: agg.requests,
+            end_to_end: agg.end_to_end.clone(),
+            exec: agg.exec.clone(),
+            cold_start_wait: agg.cold_start_wait.clone(),
+            queue_wait: agg.queue_wait.clone(),
+            stall: agg.stall.clone(),
+            exec_ms: agg.exec_us as f64 / 1000.0,
+            cold_start_wait_ms: agg.cold_us as f64 / 1000.0,
+            queue_wait_ms: agg.queue_us as f64 / 1000.0,
+            stall_ms: agg.stall_us as f64 / 1000.0,
             mlp,
             waste: WasteStats {
-                deploys: self.waste_deploys,
-                cpu_ms: self.wasted_us as f64 / 1000.0,
+                deploys: agg.waste_deploys,
+                cpu_ms: agg.wasted_us as f64 / 1000.0,
             },
             jit: StreamingJitStats {
-                planned: self.jit_planned,
-                late: self.jit_late,
-                on_time: self.jit_on_time,
-                late_ms: self.late_ms.clone(),
-                slack_ms: self.slack_ms.clone(),
+                planned: agg.jit_planned,
+                late: agg.jit_late,
+                on_time: agg.jit_on_time,
+                late_ms: agg.late_ms.clone(),
+                slack_ms: agg.slack_ms.clone(),
             },
-            cluster: self.cluster.clone(),
+            cluster: agg.cluster.clone(),
         }
     }
 }
 
-/// Serializable snapshot of a drained [`StreamingAudit`] — everything
-/// but the (empty) in-flight tracker. Checkpoint → restore is lossless:
+/// The aggregates of a [`StreamingAudit`] — everything but its in-flight
+/// tracker — and, taken from a drained audit, its serializable
+/// checkpoint. Checkpoint → restore is lossless:
 /// floats round-trip through JSON via shortest-round-trip formatting, so
 /// a restored audit continues byte-identically.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -860,72 +848,30 @@ impl StreamingAudit {
             self.tracker.pending.is_empty(),
             "checkpointing a streaming audit with in-flight requests"
         );
-        AuditCheckpoint {
-            exemplars_cap: self.config.exemplars,
-            requests: self.requests,
-            end_to_end: self.end_to_end.clone(),
-            exec: self.exec.clone(),
-            cold_start_wait: self.cold_start_wait.clone(),
-            queue_wait: self.queue_wait.clone(),
-            stall: self.stall.clone(),
-            exec_us: self.exec_us,
-            cold_us: self.cold_us,
-            queue_us: self.queue_us,
-            stall_us: self.stall_us,
-            mlp: self.mlp.clone(),
-            waste_deploys: self.waste_deploys,
-            wasted_us: self.wasted_us,
-            jit_planned: self.jit_planned,
-            jit_late: self.jit_late,
-            jit_on_time: self.jit_on_time,
-            late_ms: self.late_ms.clone(),
-            slack_ms: self.slack_ms.clone(),
-            cluster: self.cluster.clone(),
-            exemplars: self.exemplars.clone(),
-        }
+        self.state.clone()
     }
 
     /// Rebuilds an audit from a checkpoint, with an empty in-flight
     /// tracker — the exact state [`checkpoint`](Self::checkpoint)
     /// captured.
     pub fn from_checkpoint(c: &AuditCheckpoint) -> StreamingAudit {
-        let mut audit = StreamingAudit::new(StreamingConfig {
-            exemplars: c.exemplars_cap,
-        });
-        audit.requests = c.requests;
-        audit.end_to_end = c.end_to_end.clone();
-        audit.exec = c.exec.clone();
-        audit.cold_start_wait = c.cold_start_wait.clone();
-        audit.queue_wait = c.queue_wait.clone();
-        audit.stall = c.stall.clone();
-        audit.exec_us = c.exec_us;
-        audit.cold_us = c.cold_us;
-        audit.queue_us = c.queue_us;
-        audit.stall_us = c.stall_us;
-        audit.mlp = c.mlp.clone();
-        audit.waste_deploys = c.waste_deploys;
-        audit.wasted_us = c.wasted_us;
-        audit.jit_planned = c.jit_planned;
-        audit.jit_late = c.jit_late;
-        audit.jit_on_time = c.jit_on_time;
-        audit.late_ms = c.late_ms.clone();
-        audit.slack_ms = c.slack_ms.clone();
-        audit.cluster = c.cluster.clone();
-        audit.exemplars = c.exemplars.clone();
-        audit
+        StreamingAudit {
+            tracker: RequestTracker::new(c.exemplars_cap > 0),
+            state: c.clone(),
+        }
     }
 }
 
 impl Observer for StreamingAudit {
     fn on_event(&mut self, at: SimTime, event: &BusEvent) {
         match event {
-            BusEvent::HostUp { .. } => self.cluster.hosts_up += 1,
+            BusEvent::HostUp { .. } => self.state.cluster.hosts_up += 1,
             BusEvent::HostDown { workers_lost, .. } => {
-                self.cluster.hosts_down += 1;
-                self.cluster.workers_lost += u64::from(*workers_lost);
+                self.state.cluster.hosts_down += 1;
+                self.state.cluster.workers_lost += u64::from(*workers_lost);
             }
-            BusEvent::WorkerPlaced { .. } => self.cluster.placed += 1,
-            BusEvent::WorkerEvicted { .. } => self.cluster.evicted += 1,
+            BusEvent::WorkerPlaced { .. } => self.state.cluster.placed += 1,
+            BusEvent::WorkerEvicted { .. } => self.state.cluster.evicted += 1,
             _ => {}
         }
         if let Some(digest) = self.tracker.on_event(at, event) {

@@ -22,7 +22,7 @@
 //! * [`Distribution`] — latency/service-time distributions (constant,
 //!   uniform, truncated normal, log-normal, exponential) with serde support.
 //! * [`stats`] — online summary statistics, percentiles, linear regression
-//!   with R² (used to reproduce the paper's linearity claims), histograms.
+//!   with R² (used to reproduce the paper's linearity claims).
 //! * [`report`] — plain-text table/series rendering used by the experiment
 //!   harness to print each paper table and figure.
 //!

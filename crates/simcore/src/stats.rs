@@ -3,8 +3,7 @@
 //! The paper's evaluation reports means, percentiles, linear fits with R²
 //! (the cascading-cold-start linearity claims of §2.3), and scatter/series
 //! data. This module provides those primitives: [`OnlineStats`] (Welford),
-//! [`Percentiles`] over recorded samples, [`linear_regression`] with R²,
-//! and [`Histogram`] for coarse latency profiles.
+//! [`Percentiles`] over recorded samples, and [`linear_regression`] with R².
 
 use serde::{Deserialize, Serialize};
 
@@ -299,94 +298,6 @@ impl OnlineStats {
     }
 }
 
-/// Fixed-width histogram over `[lo, hi)` with overflow/underflow buckets.
-///
-/// # Example
-///
-/// ```
-/// use xanadu_simcore::stats::Histogram;
-///
-/// let mut h = Histogram::new(0.0, 100.0, 10);
-/// h.record(5.0);
-/// h.record(95.0);
-/// h.record(-3.0);   // underflow
-/// h.record(120.0);  // overflow
-/// assert_eq!(h.bucket_count(0), 1);
-/// assert_eq!(h.bucket_count(9), 1);
-/// assert_eq!(h.underflow(), 1);
-/// assert_eq!(h.overflow(), 1);
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    buckets: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram over `[lo, hi)` with `n` equal-width buckets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or `lo >= hi`.
-    pub fn new(lo: f64, hi: f64, n: usize) -> Self {
-        assert!(n > 0, "histogram needs at least one bucket");
-        assert!(lo < hi, "histogram range must be non-empty");
-        Histogram {
-            lo,
-            hi,
-            buckets: vec![0; n],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let width = (self.hi - self.lo) / self.buckets.len() as f64;
-            let idx = ((x - self.lo) / width) as usize;
-            let idx = idx.min(self.buckets.len() - 1);
-            self.buckets[idx] += 1;
-        }
-    }
-
-    /// Count in bucket `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn bucket_count(&self, i: usize) -> u64 {
-        self.buckets[i]
-    }
-
-    /// Number of buckets.
-    pub fn num_buckets(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// Count of observations below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Count of observations at or above the range.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total observations recorded, including under/overflow.
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -539,31 +450,6 @@ mod tests {
         assert_eq!(f.intercept, 5.0);
         assert_eq!(f.r_squared, 1.0);
     }
-
-    #[test]
-    fn histogram_buckets_and_bounds() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        for x in [0.0, 1.9, 2.0, 9.99] {
-            h.record(x);
-        }
-        assert_eq!(h.bucket_count(0), 2);
-        assert_eq!(h.bucket_count(1), 1);
-        assert_eq!(h.bucket_count(4), 1);
-        assert_eq!(h.total(), 4);
-        assert_eq!(h.num_buckets(), 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bucket")]
-    fn histogram_zero_buckets_panics() {
-        let _ = Histogram::new(0.0, 1.0, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-empty")]
-    fn histogram_empty_range_panics() {
-        let _ = Histogram::new(1.0, 1.0, 4);
-    }
 }
 
 #[cfg(test)]
@@ -616,15 +502,6 @@ mod proptests {
             let vlo = p.quantile(lo).unwrap();
             let vhi = p.quantile(hi).unwrap();
             prop_assert!(vlo <= vhi + 1e-9);
-        }
-
-        #[test]
-        fn histogram_total_counts_everything(
-            data in proptest::collection::vec(-100.0f64..200.0, 0..300)
-        ) {
-            let mut h = Histogram::new(0.0, 100.0, 7);
-            for &x in &data { h.record(x); }
-            prop_assert_eq!(h.total(), data.len() as u64);
         }
 
         #[test]

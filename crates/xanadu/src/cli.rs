@@ -310,6 +310,21 @@ pub enum CliError {
     },
     /// A required flag is absent.
     MissingFlag(String),
+    /// A flag the subcommand does not accept (typically a misspelling,
+    /// which would otherwise be silently ignored).
+    UnknownFlag {
+        /// The subcommand that was parsing.
+        command: String,
+        /// The flag as given.
+        flag: String,
+    },
+    /// A positional argument where the subcommand takes only flags.
+    StrayArgument {
+        /// The subcommand that was parsing.
+        command: String,
+        /// The argument as given.
+        arg: String,
+    },
     /// `--policy` was combined with one of its back-compat alias flags
     /// (`--mode`, `--aggressiveness`, `--miss-policy`); the aliases only
     /// exist to desugar into a policy spec, so mixing the two spellings
@@ -359,6 +374,14 @@ impl fmt::Display for CliError {
                 expected,
             } => write!(f, "bad value `{value}` for {flag}, expected {expected}"),
             CliError::MissingFlag(flag) => write!(f, "required flag {flag} is missing"),
+            CliError::UnknownFlag { command, flag } => write!(
+                f,
+                "unknown flag {flag} for `xanadu {command}` (try `xanadu help`)"
+            ),
+            CliError::StrayArgument { command, arg } => write!(
+                f,
+                "unexpected argument `{arg}` for `xanadu {command}`; it takes only flags"
+            ),
             CliError::PolicyConflict {
                 policy,
                 conflicting,
@@ -533,7 +556,9 @@ amortized checkpoint cost, streaming-vs-batch p95 delta) into the named
 BENCH_harness.json.
 `validate` checks a JSON document against a schema file and exits
 non-zero on mismatch (CI uses it on the exports); a `.jsonl` document
-(e.g. the serve alerts stream) is validated line by line.";
+(e.g. the serve alerts stream) is validated line by line.
+Every subcommand rejects a flag it does not list above, and any
+positional argument, instead of ignoring it.";
 
 /// Parses raw arguments (without the program name).
 ///
@@ -547,6 +572,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     match command.as_str() {
         "help" | "--help" | "-h" => Ok(Command::Help),
         "inspect" => {
+            accept_only(args, "--sdl", "--dot")?;
             let sdl_path =
                 flag_value(args, "--sdl")?.ok_or_else(|| CliError::MissingFlag("--sdl".into()))?;
             let dot = args.iter().any(|a| a == "--dot");
@@ -558,6 +584,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
         "record" => Ok(Command::Record(parse_record_flags(args)?)),
         "serve" => Ok(Command::Serve(parse_serve_flags(args)?)),
         "diff" => {
+            accept_only(args, DIFF_FLAGS, "")?;
             let baseline_path = flag_value(args, "--baseline")?
                 .ok_or_else(|| CliError::MissingFlag("--baseline".into()))?;
             let candidate_path = flag_value(args, "--candidate")?
@@ -583,6 +610,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             }))
         }
         "validate" => {
+            accept_only(args, "--json --schema", "")?;
             let json_path = flag_value(args, "--json")?
                 .ok_or_else(|| CliError::MissingFlag("--json".into()))?;
             let schema_path = flag_value(args, "--schema")?
@@ -596,7 +624,62 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     }
 }
 
+/// The value-taking flags `run` and `analyze` accept; their switches are
+/// `--implicit` and `--trace`.
+const RUN_FLAGS: &str = "--sdl --mode --policy --triggers --gap-min --seed --fault-rate \
+    --fault-seed --aggressiveness --miss-policy --hosts --host-memory-mb --placement --tenants \
+    --host-fail-rate --autoscale-max --trace-out --metrics-out --audit-out";
+
+/// The value-taking flags `replay` accepts; its switches are
+/// `--no-plan-cache` and `--progress`.
+const REPLAY_FLAGS: &str = "--invocations --shards --seed --mode --policy --depth --fault-rate \
+    --fault-seed --miss-policy --hosts --host-memory-mb --placement --tenants --host-fail-rate \
+    --report-out --audit-out --metrics-out --slo --slo-out --slo-window-secs --bench-out";
+
+/// The stream-population flags of [`parse_stream_flags`], which `record`
+/// and `serve` both accept.
+const STREAM_FLAGS: &str = "--events --workflows --depth --rate-per-hour --seed";
+
+/// The value-taking flags `serve` accepts beyond [`STREAM_FLAGS`]; its
+/// one switch is `--fail-on-alert`.
+const SERVE_FLAGS: &str = "--checkpoint-dir --stream --mode --checkpoint-every --alerts-out \
+    --metrics-text --audit-out --slo --slo-out --slo-window-secs --stop-after-checkpoints \
+    --status-every --sketch-edges --bench-out";
+
+/// The flags `diff` accepts, all value-taking.
+const DIFF_FLAGS: &str = "--baseline --candidate --max-p95-regress-pct \
+    --max-wasted-cpu-regress-pct --max-recall-drop";
+
+/// Rejects any argument after the subcommand name that is neither one of
+/// its `valued` flags (with the value that follows it) nor one of its
+/// `switches`; both are space-separated lists. A valued flag whose value
+/// is missing is left for [`flag_value`] to report.
+fn accept_only(args: &[String], valued: &str, switches: &str) -> Result<(), CliError> {
+    let listed = |list: &str, arg: &str| list.split_whitespace().any(|flag| flag == arg);
+    let command = &args[0];
+    let mut rest = args[1..].iter().peekable();
+    while let Some(arg) = rest.next() {
+        if listed(valued, arg) {
+            rest.next_if(|v| !v.starts_with("--"));
+        } else if !listed(switches, arg) {
+            return Err(if arg.starts_with('-') {
+                CliError::UnknownFlag {
+                    command: command.clone(),
+                    flag: arg.clone(),
+                }
+            } else {
+                CliError::StrayArgument {
+                    command: command.clone(),
+                    arg: arg.clone(),
+                }
+            });
+        }
+    }
+    Ok(())
+}
+
 fn parse_run_flags(args: &[String]) -> Result<RunArgs, CliError> {
+    accept_only(args, RUN_FLAGS, "--implicit --trace")?;
     let sdl_path =
         flag_value(args, "--sdl")?.ok_or_else(|| CliError::MissingFlag("--sdl".into()))?;
     let (platform, policy, aggressiveness, miss_policy) = match parse_policy(args)? {
@@ -683,6 +766,7 @@ fn parse_policy(args: &[String]) -> Result<Option<ConfiguredPolicy>, CliError> {
 }
 
 fn parse_replay_flags(args: &[String]) -> Result<ReplayArgs, CliError> {
+    accept_only(args, REPLAY_FLAGS, "--no-plan-cache --progress")?;
     let (mode, policy, aggressiveness, miss_policy) = match parse_policy(args)? {
         Some(configured) => {
             let knobs = configured.speculation.unwrap_or_default();
@@ -791,6 +875,7 @@ fn parse_stream_flags(args: &[String]) -> Result<(u64, u32, u32, f64, u64), CliE
 }
 
 fn parse_record_flags(args: &[String]) -> Result<RecordArgs, CliError> {
+    accept_only(args, &format!("--out {STREAM_FLAGS}"), "")?;
     let out = flag_value(args, "--out")?.ok_or_else(|| CliError::MissingFlag("--out".into()))?;
     let (events, workflows, depth, rate_per_hour, seed) = parse_stream_flags(args)?;
     Ok(RecordArgs {
@@ -804,6 +889,11 @@ fn parse_record_flags(args: &[String]) -> Result<RecordArgs, CliError> {
 }
 
 fn parse_serve_flags(args: &[String]) -> Result<ServeArgs, CliError> {
+    accept_only(
+        args,
+        &format!("{SERVE_FLAGS} {STREAM_FLAGS}"),
+        "--fail-on-alert",
+    )?;
     let checkpoint_dir = flag_value(args, "--checkpoint-dir")?
         .ok_or_else(|| CliError::MissingFlag("--checkpoint-dir".into()))?;
     let (events, workflows, depth, rate_per_hour, seed) = parse_stream_flags(args)?;
@@ -1218,8 +1308,8 @@ fn execute_replay(
         progress: replay.progress,
     };
 
-    // The audit export streams (bounded memory), so per-request trace
-    // recording stays off even when auditing fleet-scale replays.
+    // The sharded driver records no per-request traces; the audit export
+    // streams in bounded memory instead.
     let mut builder = PlatformConfig::builder().for_mode(replay.mode, replay.seed);
     if replay.policy.is_default() {
         let mut spec = SpeculationConfig::for_mode(replay.mode);
@@ -1656,6 +1746,87 @@ mod tests {
             parse_args(&args(&["run", "--sdl", "x", "--triggers", "many"])),
             Err(CliError::BadValue { .. })
         ));
+    }
+
+    /// Parses `list` and expects it to be refused for naming `bad`.
+    fn assert_refused(list: &[&str], bad: &str) {
+        let err = parse_args(&args(list)).unwrap_err();
+        let (CliError::UnknownFlag {
+            command,
+            flag: named,
+        }
+        | CliError::StrayArgument {
+            command,
+            arg: named,
+        }) = &err
+        else {
+            panic!("expected an unknown-argument error, got {err}")
+        };
+        assert_eq!((command.as_str(), named.as_str()), (list[0], bad));
+        assert!(err.to_string().contains(bad), "{err}");
+    }
+
+    #[test]
+    fn run_rejects_unknown_flags() {
+        assert_refused(&["run", "--sdl", "wf.json", "--trigers", "3"], "--trigers");
+        assert_refused(&["run", "--sdl", "wf.json", "extra"], "extra");
+        assert_refused(&["run", "--implicit", "--sdl", "wf.json", "-v"], "-v");
+        // A known flag's value is consumed, even when it looks like a
+        // negative number.
+        assert!(parse_args(&args(&["run", "--sdl", "-wf.json", "--trace"])).is_ok());
+    }
+
+    #[test]
+    fn analyze_rejects_unknown_flags() {
+        assert_refused(&["analyze", "--sdl", "wf.json", "--seeds", "1"], "--seeds");
+    }
+
+    #[test]
+    fn replay_rejects_unknown_flags() {
+        assert_refused(&["replay", "--shard", "4"], "--shard");
+        // Replay's aggressiveness only comes from a policy spec.
+        assert_refused(&["replay", "--aggressiveness", "0.5"], "--aggressiveness");
+        assert_refused(&["replay", "--progress", "now"], "now");
+    }
+
+    #[test]
+    fn record_rejects_unknown_flags() {
+        assert_refused(&["record", "--out", "s.jsonl", "--event", "9"], "--event");
+    }
+
+    #[test]
+    fn serve_rejects_unknown_flags() {
+        assert_refused(
+            &["serve", "--checkpoint-dir", "d", "--checkpoint-evry", "100"],
+            "--checkpoint-evry",
+        );
+        assert_refused(&["serve", "--checkpoint-dir", "d", "--out", "x"], "--out");
+    }
+
+    #[test]
+    fn diff_rejects_unknown_flags() {
+        assert_refused(
+            &[
+                "diff",
+                "--baseline",
+                "a",
+                "--candidate",
+                "b",
+                "--max-p99-regress-pct",
+                "5",
+            ],
+            "--max-p99-regress-pct",
+        );
+    }
+
+    #[test]
+    fn inspect_rejects_unknown_flags() {
+        assert_refused(&["inspect", "--sdl", "wf.json", "--dott"], "--dott");
+    }
+
+    #[test]
+    fn validate_rejects_unknown_flags() {
+        assert_refused(&["validate", "--json", "a", "--schema", "b", "c"], "c");
     }
 
     #[test]

@@ -34,15 +34,9 @@ fn sdl_conditional_workflow_runs_end_to_end() {
     }
     platform.run_until_idle();
 
-    // Every request completed and was persisted + announced.
+    // Every request completed and was announced.
     assert_eq!(platform.results().len(), n as usize);
     assert_eq!(completions.drain().len(), n as usize);
-    for i in 0..n {
-        assert!(
-            platform.metastore().get(&format!("runs/{i}")).is_some(),
-            "run {i} persisted"
-        );
-    }
 
     // The XOR decision took both paths across 12 requests with p=0.85.
     let results = platform.results().to_vec();

@@ -7,7 +7,8 @@
 //!    under heavy deterministic fault injection, whichever policy plans.
 //! 2. **Determinism** — the same seed produces byte-identical
 //!    [`PlatformReport`] and audit bytes whether runs execute on 1 or 8
-//!    worker threads, and at any sharded-replay width (1/4/8).
+//!    worker threads, and report and streaming audit bytes at any
+//!    sharded-replay width (1/4/8).
 //! 3. **Default-path identity** — explicitly routing the default policy
 //!    through the trait seam (`.policy(PolicySpec::Xanadu)`, or the
 //!    registry's parsed `"xanadu"` spec) is byte-identical to the legacy
@@ -18,8 +19,9 @@ use std::sync::Mutex;
 
 use xanadu::prelude::*;
 use xanadu_core::policy::{MpcConfig, RlConfig};
-use xanadu_platform::export::audit_json_string;
-use xanadu_platform::shard::{replay_sharded, ShardOptions, ShardWorkload};
+use xanadu_platform::export::{audit_json_string, streaming_json_string};
+use xanadu_platform::shard::{replay_sharded_with, ShardOptions, ShardTelemetry, ShardWorkload};
+use xanadu_platform::stream::StreamingConfig;
 use xanadu_workloads::azure::{generate_trace, AzureTraceConfig};
 
 /// The full policy registry, in registry order.
@@ -177,10 +179,20 @@ fn sharded_replay_is_byte_identical_per_policy() {
                 threads,
                 ..ShardOptions::default()
             };
-            let run = replay_sharded(&config, fleet(), &opts).expect("replay succeeds");
+            let telemetry = ShardTelemetry {
+                streaming: Some(StreamingConfig::default()),
+                ..ShardTelemetry::default()
+            };
+            let run =
+                replay_sharded_with(&config, fleet(), &opts, &telemetry).expect("replay succeeds");
+            let streaming = run.streaming.as_ref().expect("streaming audit attached");
+            assert_eq!(
+                streaming.summary().requests,
+                run.report.results.len() as u64,
+                "the audit covers every request"
+            );
             let report = serde_json::to_string(&run.report).expect("report serializes");
-            let audit = audit_json_string(&Audit::from_traces(&run.traces));
-            (report, audit)
+            (report, streaming_json_string(streaming))
         };
         let baseline = snapshot(1);
         assert!(baseline.0.contains("\"results\""), "populated report");

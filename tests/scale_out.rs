@@ -3,9 +3,10 @@
 //! Dispatch-Daemon placement layer of Figure 11.
 
 use xanadu::prelude::*;
-use xanadu_platform::export::audit_json_string;
+use xanadu_platform::export::streaming_json_string;
 use xanadu_platform::hosts::{HostSpec, PlacementPolicy};
-use xanadu_platform::shard::{replay_sharded, ShardOptions, ShardWorkload};
+use xanadu_platform::shard::{replay_sharded_with, ShardOptions, ShardTelemetry, ShardWorkload};
+use xanadu_platform::stream::StreamingConfig;
 use xanadu_workloads::azure::{generate_trace, AzureTraceConfig};
 use xanadu_workloads::{fan_out_fan_in, layered_fan};
 
@@ -100,7 +101,7 @@ fn azure_fleet() -> Vec<ShardWorkload> {
         .collect()
 }
 
-/// Replays the fleet and returns `(report JSON, audit JSON)`.
+/// Replays the fleet and returns `(report JSON, streaming audit JSON)`.
 fn sharded_snapshot(threads: usize, fault_rate: f64, plan_cache: bool) -> (String, String) {
     let mut builder = PlatformConfig::builder()
         .for_mode(ExecutionMode::Jit, 99)
@@ -113,14 +114,24 @@ fn sharded_snapshot(threads: usize, fault_rate: f64, plan_cache: bool) -> (Strin
         threads,
         ..ShardOptions::default()
     };
-    let run = replay_sharded(&config, azure_fleet(), &opts).expect("replay succeeds");
+    let telemetry = ShardTelemetry {
+        streaming: Some(StreamingConfig::default()),
+        ..ShardTelemetry::default()
+    };
+    let run =
+        replay_sharded_with(&config, azure_fleet(), &opts, &telemetry).expect("replay succeeds");
+    let streaming = run.streaming.as_ref().expect("streaming audit attached");
+    assert_eq!(
+        streaming.summary().requests,
+        run.report.results.len() as u64,
+        "the audit covers every request"
+    );
     let report = serde_json::to_string(&run.report).expect("report serializes");
-    let audit = audit_json_string(&Audit::from_traces(&run.traces));
-    (report, audit)
+    (report, streaming_json_string(streaming))
 }
 
 /// The tentpole guarantee of the sharded kernel: `PlatformReport` and
-/// audit bytes are identical at any shard count — the same contract PR 1
+/// streaming audit bytes are identical at any shard count — the same contract PR 1
 /// established for `--jobs` — including under fault injection and with
 /// the plan cache off.
 #[test]
