@@ -143,9 +143,6 @@ pub trait SpeculationPolicy: fmt::Debug + Send {
         let _ = enabled;
     }
 
-    /// Drops memoized plans (e.g. after learned state was restored).
-    fn invalidate_plan_cache(&mut self) {}
-
     /// Hit/miss counters of the plan cache, if the policy has one.
     fn plan_cache_stats(&self) -> PlanCacheStats {
         PlanCacheStats::default()
@@ -243,10 +240,6 @@ impl SpeculationPolicy for XanaduPolicy {
 
     fn set_plan_cache(&mut self, enabled: bool) {
         self.engine.set_plan_cache(enabled);
-    }
-
-    fn invalidate_plan_cache(&mut self) {
-        self.engine.invalidate_plan_cache();
     }
 
     fn plan_cache_stats(&self) -> PlanCacheStats {

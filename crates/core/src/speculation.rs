@@ -309,12 +309,6 @@ impl SpeculationEngine {
         }
     }
 
-    /// Drops every cached plan, e.g. after learned state was swapped out
-    /// wholesale and the epoch counters restarted.
-    pub fn invalidate_plan_cache(&mut self) {
-        self.cache.clear();
-    }
-
     /// Applies the aggressiveness horizon: keeps MLP nodes whose DAG level
     /// is below `ceil(aggressiveness · depth)` (§3.2.1).
     fn limit_by_aggressiveness(&self, dag: &WorkflowDag, mlp: &MlpResult) -> Vec<NodeId> {
@@ -643,12 +637,6 @@ mod tests {
         engine.plan_cached(&dag, &est(), 1, 2, |_, _| None);
         assert_eq!(engine.plan_cache_stats().misses, 3);
         assert_eq!(engine.plan_cache_stats().hits, 0);
-        // Explicit invalidation drops the stored plan too.
-        engine.plan_cached(&dag, &est(), 1, 2, |_, _| None);
-        assert_eq!(engine.plan_cache_stats().hits, 1);
-        engine.invalidate_plan_cache();
-        engine.plan_cached(&dag, &est(), 1, 2, |_, _| None);
-        assert_eq!(engine.plan_cache_stats().misses, 4);
     }
 
     #[test]

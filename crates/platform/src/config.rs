@@ -367,16 +367,6 @@ impl PlatformConfigBuilder {
 }
 
 impl PlatformConfig {
-    /// A copy of this configuration under a different master seed. The
-    /// service tier derives one seed per checkpoint epoch, so each
-    /// epoch's platform samples fresh (but reproducible) latencies while
-    /// every other knob stays fixed.
-    pub fn reseeded(&self, seed: u64) -> Self {
-        let mut config = self.clone();
-        config.seed = seed;
-        config
-    }
-
     /// Starts a [`PlatformConfigBuilder`] from the default (JIT, seed 0)
     /// preset.
     pub fn builder() -> PlatformConfigBuilder {

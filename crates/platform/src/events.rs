@@ -2,9 +2,9 @@
 //!
 //! The paper's prototype publishes worker and request lifecycle signals
 //! over Kafka (§4) and derives the whole evaluation from them. Here those
-//! signals are a closed, typed vocabulary: every emission on the
-//! [`Bus`](crate::bus::Bus) is a [`BusEvent`] variant and every topic is a
-//! [`Topic`] constant. Untyped JSON values appear only at the
+//! signals are a closed, typed vocabulary: every event the platform hands
+//! its [`Observer`](crate::obs::Observer)s is a [`BusEvent`] variant and
+//! every topic is a [`Topic`] constant. Untyped JSON values appear only at the
 //! serialization boundary (the [`export`](crate::export) module); nothing
 //! inside the dispatch path builds untyped JSON — CI greps for the type's
 //! literal name to keep it that way.
@@ -15,8 +15,8 @@ use std::fmt;
 /// The bus topics, one per [`BusEvent`] variant.
 ///
 /// Topics are a closed enum rather than free-form strings so a typo in a
-/// subscription is a compile error, and so the bus can answer
-/// "does anyone listen?" with a bitmask test instead of a map lookup.
+/// topic filter is a compile error, and so an observer can index a
+/// per-topic table by [`Topic::index`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Topic {
     /// A workflow trigger arrived at the Dispatch Manager.
@@ -116,8 +116,7 @@ impl Topic {
         }
     }
 
-    /// Stable position in [`Topic::ALL`]; used for the bus's subscriber
-    /// bitmask.
+    /// Stable position in [`Topic::ALL`], for per-topic tables.
     pub const fn index(self) -> usize {
         self as usize
     }

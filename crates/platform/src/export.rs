@@ -1,7 +1,7 @@
 //! Observability exporters — the serialization boundary.
 //!
 //! This is the **only** module in `xanadu-platform` where observability
-//! data may meet `serde_json::Value`: everything upstream (bus, observers,
+//! data may meet `serde_json::Value`: everything upstream (events, observers,
 //! traces, metrics) is typed, and CI rejects diffs that introduce
 //! `serde_json::Value` anywhere else under `crates/platform/src`.
 //!

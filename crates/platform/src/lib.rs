@@ -14,8 +14,8 @@
 //! * [`PlatformConfig`] — execution mode (cold / speculative / JIT),
 //!   aggressiveness, keep-alive and pool policy, plus the platform-shape
 //!   knobs that the baseline emulations (`xanadu-baselines`) override.
-//! * [`bus`] — the internal topic-based message bus (the paper's Kafka
-//!   substitute) carrying worker/request lifecycle messages.
+//! * [`events`] and [`obs`] — the typed worker/request lifecycle events
+//!   (the paper's Kafka messages) and the observers that consume them.
 //! * [`metastore`] — the revisioned JSON document store (the paper's
 //!   CouchDB substitute) persisting metrics and branch metadata.
 //!
@@ -41,7 +41,6 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod bus;
 mod config;
 mod estimates;
 pub mod events;
@@ -74,8 +73,8 @@ pub use shard::{
     replay_sharded, replay_sharded_with, KernelProfile, ShardOptions, ShardProfile, ShardTelemetry,
     ShardWorkload, ShardedRun,
 };
-pub use sim::{report_total_costs, LearnedState, Platform, PlatformError};
+pub use sim::{report_total_costs, Platform, PlatformError};
 pub use stream::{
-    AuditCheckpoint, ClusterActivity, SloAlert, SloCheckpoint, SloConfig, SloFinal, SloMonitor,
-    SloReport, SloWindow, StreamingAudit, StreamingConfig, StreamingSummary,
+    ClusterActivity, SloAlert, SloConfig, SloMonitor, SloReport, SloWindow, StreamingAudit,
+    StreamingConfig, StreamingSummary,
 };

@@ -1,10 +1,9 @@
 //! Observers and the metrics registry.
 //!
-//! The [`Observer`] trait is the synchronous counterpart of a bus
-//! subscription: the platform calls [`Observer::on_event`] inline for
-//! every emitted [`BusEvent`], in deterministic simulation order. Because
-//! the platform only *constructs* events when at least one observer or
-//! subscriber is attached (see `Platform::attach_observer`), an
+//! The [`Observer`] trait is how the platform's event stream is read:
+//! the platform calls [`Observer::on_event`] inline for every emitted
+//! [`BusEvent`], in deterministic simulation order. Because the platform
+//! only *constructs* events when at least one observer is attached (see `Platform::attach_observer`), an
 //! unobserved platform pays nothing — not even the `String` clones a
 //! payload would need.
 //!

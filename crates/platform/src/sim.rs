@@ -14,10 +14,9 @@
 //! one exists and provisions otherwise; prediction misses stop (or replan)
 //! outstanding speculation.
 
-use crate::bus::Bus;
 use crate::config::PlatformConfig;
 use crate::estimates::PlatformEstimates;
-use crate::events::{BusEvent, Topic};
+use crate::events::BusEvent;
 use crate::faults::{FaultConfig, FaultPlan};
 use crate::hosts::{ClusterReport, HostId, HostRegistry, HostSpec, PlacementRequest};
 use crate::metastore::MetaStore;
@@ -49,9 +48,6 @@ pub enum PlatformError {
     UnknownWorkflow(String),
     /// Workflow construction/validation failed.
     Chain(ChainError),
-    /// Restoring persisted learned state failed (missing or malformed
-    /// documents in the metadata store).
-    Restore(String),
 }
 
 impl fmt::Display for PlatformError {
@@ -62,9 +58,6 @@ impl fmt::Display for PlatformError {
             }
             PlatformError::UnknownWorkflow(name) => write!(f, "unknown workflow `{name}`"),
             PlatformError::Chain(e) => write!(f, "invalid workflow: {e}"),
-            PlatformError::Restore(reason) => {
-                write!(f, "failed to restore learned state: {reason}")
-            }
         }
     }
 }
@@ -82,16 +75,6 @@ impl From<ChainError> for PlatformError {
     fn from(e: ChainError) -> Self {
         PlatformError::Chain(e)
     }
-}
-
-/// Metadata-store document ids of persisted learned state, returned by
-/// [`Platform::persist_learned_state`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LearnedState {
-    /// Document holding the profiled function metrics (EMAs).
-    pub metrics_doc: String,
-    /// Document holding the learned branch model.
-    pub branch_doc: String,
 }
 
 /// Sentinel request id marking workers owned by the static pre-warm pool
@@ -322,7 +305,8 @@ pub struct Platform {
     keepalive_advisor: AdaptiveKeepAlive,
     /// Completed request timelines, by request id.
     traces: HashMap<u64, Trace>,
-    bus: Bus,
+    /// Events delivered to observers so far (zero while unobserved).
+    emitted: u64,
     metastore: MetaStore,
     /// The seeded fault schedule (inert when the configured rate is 0).
     faults: FaultPlan,
@@ -408,7 +392,7 @@ impl Platform {
             active_runs: 0,
             keepalive_advisor: AdaptiveKeepAlive::new(KeepAliveConfig::default()),
             traces: HashMap::new(),
-            bus: Bus::new(),
+            emitted: 0,
             metastore: MetaStore::new(),
             faults,
             observers: Vec::new(),
@@ -519,7 +503,10 @@ impl Platform {
     }
 
     /// Schedules a trigger of `workflow` at absolute simulation time `at`,
-    /// returning the request id.
+    /// returning the request id. At equal timestamps a trigger is handled
+    /// before any internally scheduled event, so triggers fed in slices
+    /// (between [`run_until`](Self::run_until) calls) simulate exactly as
+    /// triggers enqueued up front.
     ///
     /// # Errors
     ///
@@ -536,7 +523,7 @@ impl Platform {
         let req = self.next_request;
         self.next_request += 1;
         self.queue
-            .schedule(at, Event::Trigger { req, workflow: sym });
+            .schedule_arrival(at, Event::Trigger { req, workflow: sym });
         Ok(req)
     }
 
@@ -592,10 +579,10 @@ impl Platform {
     }
 
     /// Processes events up to and including `deadline`, then stops with
-    /// later events still queued (stepped simulation, e.g. for live
-    /// monitoring through the bus). Advances the clock to `deadline` even
-    /// if the queue empties earlier. Returns the number of events
-    /// processed.
+    /// later events still queued (stepped simulation: the service tier
+    /// cuts its stream this way between trigger slices). Advances the
+    /// clock to `deadline` even if the queue empties earlier. Returns the
+    /// number of events processed.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         let mut processed = 0;
         while let Some(t) = self.queue.peek_time() {
@@ -615,6 +602,13 @@ impl Platform {
     /// Completed request results so far.
     pub fn results(&self) -> &[RunResult] {
         &self.results
+    }
+
+    /// Drops the completed results kept so far. A long-running caller
+    /// that reads requests through an observer calls this to keep memory
+    /// flat; [`finish`](Self::finish) then reports only later results.
+    pub fn clear_results(&mut self) {
+        self.results.clear();
     }
 
     /// The metrics engine (profiled EMAs).
@@ -642,19 +636,13 @@ impl Platform {
         &self.metastore
     }
 
-    /// Subscribes to a bus [`Topic`]; every [`BusEvent`] subsequently
-    /// emitted on it is delivered to the returned handle.
-    pub fn subscribe(&mut self, topic: Topic) -> crate::bus::Subscription {
-        self.bus.subscribe(topic)
-    }
-
     /// Attaches a synchronous [`Observer`]: it sees every emitted event,
     /// in deterministic simulation order, for the rest of the platform's
     /// life. The returned handle reads the observer's state back out.
     ///
-    /// Attaching any observer (or bus subscriber) is what turns event
-    /// emission on — an unobserved platform never constructs events, so
-    /// observability costs nothing when unused.
+    /// Attaching any observer is what turns event emission on — an
+    /// unobserved platform never constructs events, so observability
+    /// costs nothing when unused.
     pub fn attach_observer<O: Observer + 'static>(&mut self, observer: O) -> ObserverHandle<O> {
         let handle = ObserverHandle::new(observer);
         self.observers.push(handle.shared());
@@ -673,30 +661,30 @@ impl Platform {
     /// Attaches a live [`SloMonitor`]: it folds every completed request
     /// into tumbling windows, and whenever a closed window breaches the
     /// configured thresholds the platform re-emits the breach as a typed
-    /// [`BusEvent::SloAlert`] (subscribable like any other topic). The
-    /// final partial window is evaluated by [`finish`](Self::finish).
+    /// [`BusEvent::SloAlert`] to every observer. The final partial window
+    /// is evaluated by [`finish`](Self::finish).
     pub fn attach_slo(&mut self, config: SloConfig) -> ObserverHandle<SloMonitor> {
         let handle = self.attach_observer(SloMonitor::live(config));
         self.slo = Some(handle.clone());
         handle
     }
 
-    /// Total events published on the bus so far. Zero on an unobserved
+    /// Total events delivered to observers so far. Zero on an unobserved
     /// platform — the emission guard skips construction entirely.
     pub fn published_events(&self) -> u64 {
-        self.bus.published_count()
+        self.emitted
     }
 
-    /// Whether an emission to `topic` would reach anyone. Checked before
+    /// Whether an emission would reach anyone. Checked before
     /// constructing any [`BusEvent`] so the unobserved hot path pays a
     /// branch, not an allocation.
-    fn observing(&self, topic: Topic) -> bool {
-        !self.observers.is_empty() || self.bus.has_subscribers(topic)
+    fn observing(&self) -> bool {
+        !self.observers.is_empty()
     }
 
-    /// Delivers `event` to every observer, then publishes it on the bus.
-    /// When a live [`SloMonitor`] is attached, any alerts its windows
-    /// raised while absorbing the event are re-emitted immediately as
+    /// Delivers `event` to every observer. When a live [`SloMonitor`] is
+    /// attached, any alerts its windows raised while absorbing the event
+    /// are re-emitted immediately as
     /// [`BusEvent::SloAlert`] (the monitor ignores alert events, so the
     /// recursion is one level deep).
     fn emit(&mut self, event: BusEvent) {
@@ -705,7 +693,7 @@ impl Platform {
                 .expect("observer lock poisoned")
                 .on_event(self.now, &event);
         }
-        self.bus.publish(self.now, event);
+        self.emitted += 1;
         if let Some(slo) = self.slo.clone() {
             for alert in slo.with_mut(SloMonitor::take_alerts) {
                 self.emit(alert.into_event());
@@ -717,9 +705,9 @@ impl Platform {
     /// simulation time, subject to the same anyone-listening guard as
     /// internal emissions. The service tier uses this to surface
     /// checkpoint, restore, sketch-eviction, and boundary-evaluated SLO
-    /// alert activity to the platform's observers and subscribers.
+    /// alert activity to the platform's observers.
     pub fn announce(&mut self, event: BusEvent) {
-        if self.observing(event.topic()) {
+        if self.observing() {
             self.emit(event);
         }
     }
@@ -759,47 +747,6 @@ impl Platform {
     /// being updated after every fixed interval of time").
     pub fn roll_profile_window(&mut self) {
         self.detector.roll_window();
-    }
-
-    /// Persists the learned state — function profiles and the branch
-    /// model — into the metadata store, the paper's "backing everything up
-    /// on the Metadata DB for persistence" (§4). Returns the document ids.
-    pub fn persist_learned_state(&mut self) -> LearnedState {
-        let metrics_doc = serde_json::to_value(&self.metrics).expect("metrics serialize");
-        let detector_doc = serde_json::to_value(&self.detector).expect("detector serialize");
-        self.metastore.put("learned/metrics", metrics_doc);
-        self.metastore.put("learned/branches", detector_doc);
-        LearnedState {
-            metrics_doc: "learned/metrics".into(),
-            branch_doc: "learned/branches".into(),
-        }
-    }
-
-    /// Restores learned state previously persisted with
-    /// [`persist_learned_state`](Self::persist_learned_state) — e.g. into a
-    /// freshly started platform after a restart, so speculation does not
-    /// need to re-learn from scratch.
-    ///
-    /// # Errors
-    ///
-    /// [`PlatformError::Restore`] if either document is missing or fails
-    /// to deserialize.
-    pub fn restore_learned_state(&mut self, store: &MetaStore) -> Result<(), PlatformError> {
-        let restore = |reason: String| PlatformError::Restore(reason);
-        let (metrics_doc, _) = store
-            .get("learned/metrics")
-            .ok_or_else(|| restore("learned/metrics document missing".into()))?;
-        let (detector_doc, _) = store
-            .get("learned/branches")
-            .ok_or_else(|| restore("learned/branches document missing".into()))?;
-        self.metrics = serde_json::from_value(metrics_doc.clone())
-            .map_err(|e| restore(format!("bad metrics document: {e}")))?;
-        self.detector = serde_json::from_value(detector_doc.clone())
-            .map_err(|e| restore(format!("bad branch document: {e}")))?;
-        // The restored engines restart their epoch counters, which could
-        // collide with the epochs a cached plan was tagged with.
-        self.policy.invalidate_plan_cache();
-        Ok(())
     }
 
     /// Finishes the run: tears down all remaining workers and returns the
@@ -918,7 +865,7 @@ impl Platform {
             .into_iter()
             .partition(|w| !self.shielded_workers.contains(w));
         let _ = shielded; // survive hostless: nothing to do
-        if self.observing(Topic::HostDown) {
+        if self.observing() {
             self.emit(BusEvent::HostDown {
                 host,
                 workers_lost: lost.len() as u32,
@@ -943,7 +890,7 @@ impl Platform {
         if !self.cluster.activate_host(id) {
             return;
         }
-        if self.observing(Topic::HostUp) {
+        if self.observing() {
             self.emit(BusEvent::HostUp {
                 host,
                 memory_mb: self.cluster.memory_mb(id),
@@ -1174,14 +1121,14 @@ impl Platform {
                 );
             }
         }
-        if self.observing(Topic::RequestTriggered) {
+        if self.observing() {
             let name = self.workflow_ids.resolve(workflow).to_string();
             self.emit(BusEvent::RequestTriggered {
                 request: req,
                 workflow: name,
             });
         }
-        if plan_active && self.observing(Topic::PlanComputed) {
+        if plan_active && self.observing() {
             let name = self.workflow_ids.resolve(workflow).to_string();
             self.emit(BusEvent::PlanComputed {
                 request: req,
@@ -1189,7 +1136,7 @@ impl Platform {
                 planned: planned_count,
             });
         }
-        if plan_generation != 0 && self.observing(Topic::PolicyDecision) {
+        if plan_generation != 0 && self.observing() {
             let policy = self.policy.label().to_string();
             self.emit(BusEvent::PolicyDecision {
                 request: req,
@@ -1255,7 +1202,7 @@ impl Platform {
         let dag = run.dag.clone();
         let function = dag.node(node).spec().name();
         let parent_name = parent.map(|p| dag.node(p).spec().name());
-        if self.observing(Topic::FunctionInvoked) {
+        if self.observing() {
             self.emit(BusEvent::FunctionInvoked {
                 request: req,
                 function: function.to_string(),
@@ -1410,7 +1357,7 @@ impl Platform {
         // The worker's provisioning burst on its host is over: it stops
         // contending with concurrent cold starts there.
         self.cluster.worker_ready(worker);
-        if self.pool.mark_ready(worker) && self.observing(Topic::WorkerReady) {
+        if self.pool.mark_ready(worker) && self.observing() {
             self.emit(BusEvent::WorkerReady { worker: worker.0 });
         }
     }
@@ -1489,7 +1436,7 @@ impl Platform {
                 },
             );
         }
-        if self.observing(Topic::ExecStarted) {
+        if self.observing() {
             self.emit(BusEvent::ExecStarted {
                 request: req,
                 function: function.to_string(),
@@ -1565,7 +1512,7 @@ impl Platform {
                 },
             );
         }
-        if self.observing(Topic::ExecEnded) {
+        if self.observing() {
             self.emit(BusEvent::ExecEnded {
                 request: req,
                 function: function.to_string(),
@@ -1670,7 +1617,7 @@ impl Platform {
         self.claimed.remove(&worker);
         self.pool.crash(worker, self.now);
         self.cluster.release(worker);
-        if self.observing(Topic::WorkerCrashed) {
+        if self.observing() {
             self.emit(BusEvent::WorkerCrashed {
                 worker: worker.0,
                 function: function.clone(),
@@ -1711,7 +1658,7 @@ impl Platform {
                 );
             }
             let delay = self.config.faults.backoff(attempt);
-            if self.observing(Topic::InvokeRetried) {
+            if self.observing() {
                 self.emit(BusEvent::InvokeRetried {
                     request: req,
                     function: function.to_string(),
@@ -1817,7 +1764,7 @@ impl Platform {
                 },
             );
         }
-        if self.observing(Topic::InvokeTimeout) {
+        if self.observing() {
             self.emit(BusEvent::InvokeTimeout {
                 request: req,
                 function: function.to_string(),
@@ -1825,7 +1772,7 @@ impl Platform {
             });
         }
         let delay = self.config.faults.backoff(attempt);
-        if self.observing(Topic::InvokeRetried) {
+        if self.observing() {
             self.emit(BusEvent::InvokeRetried {
                 request: req,
                 function: function.to_string(),
@@ -1838,7 +1785,7 @@ impl Platform {
     }
 
     fn on_prediction_miss(&mut self, req: u64, actual: NodeId) {
-        if self.observing(Topic::PredictionMiss) {
+        if self.observing() {
             let function = {
                 let run = self.run(req).expect("run exists");
                 run.dag.node(actual).spec().name().to_string()
@@ -1914,7 +1861,7 @@ impl Platform {
                         },
                     );
                 }
-                if self.observing(Topic::PolicyDecision) {
+                if self.observing() {
                     let policy = self.policy.label().to_string();
                     self.emit(BusEvent::PolicyDecision {
                         request: req,
@@ -1998,7 +1945,7 @@ impl Platform {
                 executed,
             },
         );
-        if self.observing(Topic::RequestCompleted) {
+        if self.observing() {
             self.emit(BusEvent::RequestCompleted {
                 request: req,
                 workflow: result.workflow.clone(),
@@ -2026,7 +1973,7 @@ impl Platform {
     /// event stream.
     fn evict_worker(&mut self, id: WorkerId) {
         self.cluster.note_evicted(id);
-        if self.cluster_enabled && self.observing(Topic::WorkerEvicted) {
+        if self.cluster_enabled && self.observing() {
             if let Some(host) = self.cluster.host_of(id) {
                 self.emit(BusEvent::WorkerEvicted {
                     worker: id.0,
@@ -2226,7 +2173,7 @@ impl Platform {
         }
         let total_wait = extra + cold_total;
         if let Some(host) = placed {
-            if self.cluster_enabled && self.observing(Topic::WorkerPlaced) {
+            if self.cluster_enabled && self.observing() {
                 self.emit(BusEvent::WorkerPlaced {
                     worker: id.0,
                     host: host.0,
@@ -2235,7 +2182,7 @@ impl Platform {
                 });
             }
         }
-        if self.observing(Topic::WorkerProvisioned) {
+        if self.observing() {
             self.emit(BusEvent::WorkerProvisioned {
                 worker: id.0,
                 request: req,
@@ -2676,19 +2623,36 @@ mod tests {
         assert_eq!(report.results[0].executed_functions, 2);
     }
 
+    /// Observer that keeps every event it is handed.
+    #[derive(Default)]
+    struct Collect(Vec<BusEvent>);
+
+    impl Observer for Collect {
+        fn on_event(&mut self, _at: SimTime, event: &BusEvent) {
+            self.0.push(event.clone());
+        }
+    }
+
     #[test]
     fn bus_and_metastore_observe_lifecycle() {
         let mut p = Platform::new(PlatformConfig::for_mode(ExecutionMode::Cold, 2));
-        let completions = p.subscribe(Topic::RequestCompleted);
-        let provisions = p.subscribe(Topic::WorkerProvisioned);
+        let events = p.attach_observer(Collect::default());
         p.deploy(chain(2, 100.0)).unwrap();
         p.trigger_at("chain", SimTime::ZERO).unwrap();
         p.run_until_idle();
-        assert_eq!(completions.drain().len(), 1);
-        let provisioned = provisions.drain();
+        let events = events.with(|c| c.0.clone());
+        let completions = events
+            .iter()
+            .filter(|e| matches!(e, BusEvent::RequestCompleted { .. }))
+            .count();
+        assert_eq!(completions, 1);
+        let provisioned: Vec<&BusEvent> = events
+            .iter()
+            .filter(|e| matches!(e, BusEvent::WorkerProvisioned { .. }))
+            .collect();
         assert_eq!(provisioned.len(), 2);
-        assert!(provisioned.iter().all(|m| matches!(
-            m.event,
+        assert!(provisioned.iter().all(|e| matches!(
+            e,
             BusEvent::WorkerProvisioned {
                 on_demand: true,
                 ..
@@ -2741,40 +2705,6 @@ mod tests {
             report
         };
         assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn learned_state_survives_platform_restart() {
-        // Learn on one platform, persist, restore into a fresh platform:
-        // the very first request on the new platform speculates correctly.
-        let dag = chain(3, 500.0);
-        let mut first = Platform::new(PlatformConfig::for_mode(ExecutionMode::Speculative, 5));
-        first.deploy_implicit(dag.clone()).unwrap();
-        for i in 0..4 {
-            first
-                .trigger_at("chain", SimTime::from_mins(i * 20))
-                .unwrap();
-            first.run_until_idle();
-        }
-        first.persist_learned_state();
-        let store = first.metastore().clone();
-
-        let mut second = Platform::new(PlatformConfig::for_mode(ExecutionMode::Speculative, 99));
-        second.deploy_implicit(dag).unwrap();
-        second.restore_learned_state(&store).unwrap();
-        second.trigger_at("chain", SimTime::ZERO).unwrap();
-        second.run_until_idle();
-        let r = &second.results()[0];
-        assert!(
-            r.warm_starts >= 2,
-            "restored model speculates immediately: {r:?}"
-        );
-
-        // Restoring from an empty store fails cleanly.
-        let mut third = Platform::new(PlatformConfig::for_mode(ExecutionMode::Jit, 1));
-        assert!(third
-            .restore_learned_state(&crate::metastore::MetaStore::new())
-            .is_err());
     }
 
     #[test]

@@ -548,8 +548,7 @@ pub struct StreamingSummary {
 #[derive(Debug, Clone)]
 pub struct StreamingAudit {
     tracker: RequestTracker,
-    /// Every aggregate, in exactly the form a checkpoint stores it.
-    state: AuditCheckpoint,
+    state: AuditAggregates,
 }
 
 impl Default for StreamingAudit {
@@ -563,7 +562,7 @@ impl StreamingAudit {
     pub fn new(config: StreamingConfig) -> Self {
         StreamingAudit {
             tracker: RequestTracker::new(config.exemplars > 0),
-            state: AuditCheckpoint {
+            state: AuditAggregates {
                 exemplars_cap: config.exemplars,
                 requests: 0,
                 end_to_end: Histogram::latency(),
@@ -688,14 +687,6 @@ impl StreamingAudit {
         self.sort_exemplars();
     }
 
-    /// Shifts every exemplar's request id up by `base`. The service tier
-    /// runs each checkpoint epoch on a fresh platform whose trigger ids
-    /// restart at 0; offsetting by the global request count restores
-    /// stream-wide ids before epochs are merged.
-    pub fn offset_requests(&mut self, base: u64) {
-        self.remap_exemplar_requests(|r| r + base);
-    }
-
     /// Folds another audit's aggregates into this one. Both must be
     /// drained (no in-flight requests) — callers merge per-shard audits
     /// after the fleet is idle, in canonical shard order.
@@ -786,80 +777,52 @@ impl StreamingAudit {
     }
 }
 
-/// The aggregates of a [`StreamingAudit`] — everything but its in-flight
-/// tracker — and, taken from a drained audit, its serializable
-/// checkpoint. Checkpoint → restore is lossless:
-/// floats round-trip through JSON via shortest-round-trip formatting, so
-/// a restored audit continues byte-identically.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AuditCheckpoint {
+/// The aggregates of a [`StreamingAudit`]: everything but its in-flight
+/// tracker.
+#[derive(Debug, Clone, PartialEq)]
+struct AuditAggregates {
     /// Exemplar-reservoir capacity the audit was configured with.
-    pub exemplars_cap: usize,
+    exemplars_cap: usize,
     /// Completed requests folded in.
-    pub requests: u64,
+    requests: u64,
     /// End-to-end latency distribution.
-    pub end_to_end: Histogram,
+    end_to_end: Histogram,
     /// Per-request exec-time distribution.
-    pub exec: Histogram,
+    exec: Histogram,
     /// Per-request cold-start-wait distribution.
-    pub cold_start_wait: Histogram,
+    cold_start_wait: Histogram,
     /// Per-request warm-queueing distribution.
-    pub queue_wait: Histogram,
+    queue_wait: Histogram,
     /// Per-request stall distribution.
-    pub stall: Histogram,
+    stall: Histogram,
     /// Total exec microseconds.
-    pub exec_us: u64,
+    exec_us: u64,
     /// Total cold-start-wait microseconds.
-    pub cold_us: u64,
+    cold_us: u64,
     /// Total warm-queueing microseconds.
-    pub queue_us: u64,
+    queue_us: u64,
     /// Total stall microseconds.
-    pub stall_us: u64,
+    stall_us: u64,
     /// MLP prediction quality.
-    pub mlp: MlpStats,
+    mlp: MlpStats,
     /// Unused speculative deployments.
-    pub waste_deploys: u64,
+    waste_deploys: u64,
     /// Wasted deploy CPU microseconds.
-    pub wasted_us: u64,
+    wasted_us: u64,
     /// Planned deployments that served an invocation.
-    pub jit_planned: u64,
+    jit_planned: u64,
     /// Of those, sandboxes ready after their invocation.
-    pub jit_late: u64,
+    jit_late: u64,
     /// Sandboxes ready at or before their invocation.
-    pub jit_on_time: u64,
+    jit_on_time: u64,
     /// Positive-lateness distribution (ms).
-    pub late_ms: Histogram,
+    late_ms: Histogram,
     /// Pre-warm slack distribution (ms).
-    pub slack_ms: Histogram,
+    slack_ms: Histogram,
     /// Cluster scheduling activity.
-    pub cluster: ClusterActivity,
+    cluster: ClusterActivity,
     /// The worst-request reservoir.
-    pub exemplars: Vec<Exemplar>,
-}
-
-impl StreamingAudit {
-    /// Captures the audit as a serializable checkpoint.
-    ///
-    /// # Panics
-    /// If requests are still in flight — the service tier checkpoints
-    /// only at drained epoch boundaries.
-    pub fn checkpoint(&self) -> AuditCheckpoint {
-        assert!(
-            self.tracker.pending.is_empty(),
-            "checkpointing a streaming audit with in-flight requests"
-        );
-        self.state.clone()
-    }
-
-    /// Rebuilds an audit from a checkpoint, with an empty in-flight
-    /// tracker — the exact state [`checkpoint`](Self::checkpoint)
-    /// captured.
-    pub fn from_checkpoint(c: &AuditCheckpoint) -> StreamingAudit {
-        StreamingAudit {
-            tracker: RequestTracker::new(c.exemplars_cap > 0),
-            state: c.clone(),
-        }
-    }
+    exemplars: Vec<Exemplar>,
 }
 
 impl Observer for StreamingAudit {
@@ -1033,105 +996,6 @@ pub struct SloReport {
     pub alerts: Vec<SloAlert>,
 }
 
-/// Serializable snapshot of a drained [`SloMonitor`]: accumulated
-/// windows plus the evaluation cursor and alerts already raised, so a
-/// restored monitor neither re-raises nor skips alerts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SloCheckpoint {
-    /// Tumbling-window width, integer microseconds.
-    pub window_us: u64,
-    /// The gates every window is held to.
-    pub thresholds: DiffThresholds,
-    /// Accumulated windows, index-ordered.
-    pub windows: Vec<SloWindow>,
-    /// Baseline (first non-empty) window index, if evaluation started.
-    pub baseline: Option<u64>,
-    /// Highest window index already evaluated.
-    pub evaluated: Option<u64>,
-    /// Alerts raised so far, in emission order.
-    pub alerts: Vec<SloAlert>,
-}
-
-/// The windows and alerts that became final between two checkpoints
-/// (see [`SloCheckpoint::split`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SloFinal {
-    /// Newly final windows, index-ordered.
-    pub windows: Vec<SloWindow>,
-    /// Alerts raised on those windows, in emission order.
-    pub alerts: Vec<SloAlert>,
-}
-
-impl SloCheckpoint {
-    /// Splits off what became final after the evaluation cursor `since`
-    /// (the `evaluated` of the previous split): the windows with index in
-    /// `(since, evaluated]` and the alerts raised on them. A window at or
-    /// below `evaluated` is final — [`SloMonitor::merge_from`] refuses
-    /// any later update to it — so each one is split off exactly once.
-    ///
-    /// The returned open part keeps the windows above `evaluated`, the
-    /// baseline index and the cursor, and no alerts; windows at or below
-    /// `since` are dropped, since an earlier split already returned them.
-    pub fn split(mut self, since: Option<u64>) -> (SloFinal, SloCheckpoint) {
-        let evaluated = self.evaluated;
-        let is_new = |window: u64| since.is_none_or(|s| window > s);
-        let (closed, open): (Vec<SloWindow>, Vec<SloWindow>) = std::mem::take(&mut self.windows)
-            .into_iter()
-            .partition(|w| evaluated.is_some_and(|e| w.index <= e));
-        let fresh = SloFinal {
-            windows: closed.into_iter().filter(|w| is_new(w.index)).collect(),
-            alerts: std::mem::take(&mut self.alerts)
-                .into_iter()
-                .filter(|a| is_new(a.window))
-                .collect(),
-        };
-        self.windows = open;
-        (fresh, self)
-    }
-
-    /// Inverse of [`split`](Self::split): rebuilds the full checkpoint
-    /// from an open part and every [`SloFinal`] split off before it, in
-    /// any order.
-    ///
-    /// # Errors
-    /// Names the window when a final window lies above the evaluation
-    /// cursor or appears more than once.
-    pub fn rejoin(
-        mut self,
-        finals: impl IntoIterator<Item = SloFinal>,
-    ) -> Result<SloCheckpoint, String> {
-        let mut windows = BTreeMap::new();
-        let mut alerts = Vec::new();
-        for fin in finals {
-            for w in fin.windows {
-                if self.evaluated.is_none_or(|e| w.index > e) {
-                    return Err(format!(
-                        "final window {} lies above the evaluation cursor {:?}",
-                        w.index, self.evaluated
-                    ));
-                }
-                let index = w.index;
-                if windows.insert(index, w).is_some() {
-                    return Err(format!("final window {index} appears twice"));
-                }
-            }
-            alerts.extend(fin.alerts);
-        }
-        for w in std::mem::take(&mut self.windows) {
-            let index = w.index;
-            if windows.insert(index, w).is_some() {
-                return Err(format!("open window {index} is also final"));
-            }
-        }
-        // Alerts are raised in window order and, within a window, in gate
-        // order; a stable sort restores that order from any document order.
-        alerts.sort_by_key(|a: &SloAlert| a.window);
-        self.windows = windows.into_values().collect();
-        self.alerts = alerts;
-        Ok(self)
-    }
-}
-
 /// Evaluates windowed telemetry against [`DiffThresholds`], live or
 /// post-merge.
 ///
@@ -1206,6 +1070,10 @@ impl SloMonitor {
     fn fold(&mut self, digest: &RequestDigest) {
         let width = self.config.window.as_micros();
         let index = digest.completed_us / width;
+        assert!(
+            self.evaluated.is_none_or(|e| index > e),
+            "a completion landed in SLO window {index}, which is already final"
+        );
         if self.live {
             self.close_windows_below(index);
         }
@@ -1262,24 +1130,19 @@ impl SloMonitor {
     }
 
     /// Evaluates every not-yet-evaluated window strictly below `horizon`
-    /// and returns the fresh alerts, in (window, gate) order.
+    /// and returns the fresh alerts, in (window, gate) order; those
+    /// windows become final.
     ///
-    /// The service tier calls this at checkpoint boundaries: completions
-    /// are *not* globally time-ordered across epochs (a draining epoch
-    /// emits completions later than the next epoch's first trigger), so
-    /// only windows below `floor(next trigger time / width)` are final —
-    /// every future completion lands at or above that index. Evaluation
-    /// is incremental and index-ordered against the same first-non-empty
-    /// baseline as [`report`](Self::report), so the union of all
-    /// `evaluate_below` results equals the report's alert list exactly.
-    ///
-    /// # Panics
-    /// If requests are still in flight.
+    /// The service tier calls this at each cut of its stream, once the
+    /// platform has handled every event before the next trigger time:
+    /// every completion still to come lands at or after that time, so
+    /// windows below `floor(next trigger time / width)` are final. That is
+    /// the caller's precondition, and a completion that breaks it panics
+    /// when it is folded. Evaluation is incremental and index-ordered
+    /// against the same first-non-empty baseline as
+    /// [`report`](Self::report), so the union of all `evaluate_below`
+    /// results equals the report's alert list exactly.
     pub fn evaluate_below(&mut self, horizon: u64) -> Vec<SloAlert> {
-        assert!(
-            self.tracker.pending.is_empty(),
-            "evaluating an SLO monitor with in-flight requests"
-        );
         let ready: Vec<u64> = self
             .windows
             .keys()
@@ -1296,12 +1159,6 @@ impl SloMonitor {
     /// Every alert raised so far, in emission order.
     pub fn alerts(&self) -> &[SloAlert] {
         &self.alerts
-    }
-
-    /// Highest window index already evaluated: that window and every one
-    /// below it are final.
-    pub fn evaluated(&self) -> Option<u64> {
-        self.evaluated
     }
 
     /// Closes the stream: evaluates the final (still-open) window and
@@ -1354,45 +1211,6 @@ impl SloMonitor {
             mine.invoked += theirs.invoked;
             mine.misses += theirs.misses;
         }
-    }
-
-    /// Captures the monitor as a serializable checkpoint (windows,
-    /// baseline, evaluation cursor, and alerts raised so far).
-    ///
-    /// # Panics
-    /// If requests are in flight or alerts are pending un-drained.
-    pub fn checkpoint(&self) -> SloCheckpoint {
-        assert!(
-            self.tracker.pending.is_empty(),
-            "checkpointing an SLO monitor with in-flight requests"
-        );
-        assert!(
-            self.pending_alerts.is_empty(),
-            "checkpointing an SLO monitor with undrained alerts"
-        );
-        SloCheckpoint {
-            window_us: self.config.window.as_micros(),
-            thresholds: self.config.thresholds.clone(),
-            windows: self.windows.values().cloned().collect(),
-            baseline: self.baseline,
-            evaluated: self.evaluated,
-            alerts: self.alerts.clone(),
-        }
-    }
-
-    /// Rebuilds a collector-mode monitor from a checkpoint — the exact
-    /// state [`checkpoint`](Self::checkpoint) captured, ready to resume
-    /// folding and incremental evaluation.
-    pub fn from_checkpoint(c: &SloCheckpoint) -> SloMonitor {
-        let mut monitor = SloMonitor::collector(SloConfig {
-            window: SimDuration::from_micros(c.window_us),
-            thresholds: c.thresholds.clone(),
-        });
-        monitor.windows = c.windows.iter().map(|w| (w.index, w.clone())).collect();
-        monitor.baseline = c.baseline;
-        monitor.evaluated = c.evaluated;
-        monitor.alerts = c.alerts.clone();
-        monitor
     }
 
     /// Builds the windowed export: every non-empty window summarized, plus
@@ -1891,60 +1709,20 @@ mod tests {
     }
 
     #[test]
-    fn split_then_rejoin_round_trips_every_checkpoint() {
-        let mut slo = collector_with(1, &[0, 1, 3]);
-        slo.evaluate_below(2);
-        let first = slo.checkpoint();
-        let (final_a, open_a) = first.clone().split(None);
-        assert_eq!(
-            final_a.windows.iter().map(|w| w.index).collect::<Vec<_>>(),
-            [0, 1]
-        );
-        assert_eq!(
-            open_a.windows.iter().map(|w| w.index).collect::<Vec<_>>(),
-            [3]
-        );
-        assert!(open_a.alerts.is_empty(), "alerts travel with final windows");
-        assert_eq!(open_a.clone().rejoin([final_a.clone()]), Ok(first));
-
-        // A later epoch adds windows above the cursor, one of them
-        // breaching; the next split returns only what became final since.
-        slo.merge_from(&collector_with(10, &[3, 4, 6]));
-        slo.evaluate_below(6);
-        let second = slo.checkpoint();
-        let (final_b, open_b) = second.clone().split(open_a.evaluated);
-        assert_eq!(
-            final_b.windows.iter().map(|w| w.index).collect::<Vec<_>>(),
-            [3, 4]
-        );
-        assert!(!final_b.alerts.is_empty(), "window 4 breaches p95");
-        assert!(final_b.alerts.iter().all(|a| a.window == 4));
-        let rejoined = open_b
-            .clone()
-            .rejoin([final_b.clone(), final_a.clone()])
-            .unwrap();
-        assert_eq!(rejoined, second, "document order does not matter");
-        assert_eq!(
-            SloMonitor::from_checkpoint(&rejoined).report(),
-            slo.report()
-        );
-
-        let twice = open_b.clone().rejoin([final_a.clone(), final_a]);
-        assert!(twice.unwrap_err().contains("window 0 appears twice"));
-        let (early, _) = second.split(None);
-        assert!(open_a
-            .rejoin([early])
-            .unwrap_err()
-            .contains("final window 3"));
-    }
-
-    #[test]
     #[should_panic(expected = "already final")]
     fn a_late_fold_below_the_evaluation_cursor_is_rejected() {
         let mut slo = collector_with(1, &[0, 3]);
         slo.evaluate_below(2);
-        assert_eq!(slo.evaluated(), Some(0));
+        assert_eq!(slo.evaluated, Some(0));
         slo.merge_from(&collector_with(10, &[0]));
+    }
+
+    #[test]
+    #[should_panic(expected = "which is already final")]
+    fn a_completion_in_a_final_window_is_rejected() {
+        let mut slo = collector_with(1, &[0, 3]);
+        slo.evaluate_below(2);
+        feed(&mut slo, &simple_request(10, 200, 100));
     }
 
     #[test]

@@ -2,10 +2,12 @@
 //!
 //! A discrete-event simulation advances by repeatedly popping the earliest
 //! scheduled event. Determinism requires a total order even among events
-//! scheduled for the *same* instant; we break ties by a monotonically
-//! increasing sequence number, so events at equal timestamps pop in the
-//! order they were scheduled (FIFO), independent of the container's
-//! internal layout.
+//! scheduled for the *same* instant; we break ties by a sequence number.
+//! External arrivals ([`EventQueue::schedule_arrival`]) draw theirs from a
+//! range below every internally scheduled event's, so at equal timestamps
+//! arrivals pop first, in arrival order, whenever they were enqueued; the
+//! remaining events pop in the order they were scheduled (FIFO). Feeding
+//! a trace in slices therefore pops exactly as enqueueing it up front.
 //!
 //! # Calendar-queue implementation
 //!
@@ -23,9 +25,9 @@
 //! comparison-free for the dense near-future traffic that dominates a
 //! replay.
 //!
-//! The observable contract is unchanged and is property-tested against a
-//! `BinaryHeap` model: pops come out in strictly increasing `(time, seq)`
-//! order, i.e. time order with FIFO tie-breaking.
+//! The observable contract is property-tested against a `BinaryHeap`
+//! model: pops come out in strictly increasing `(time, seq)` order, i.e.
+//! time order with arrivals-first, then FIFO, tie-breaking.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -68,11 +70,15 @@ impl<E> Ord for ScheduledEvent<E> {
 const BUCKETS: usize = 1024;
 /// Bucket width in microseconds (1 ms).
 const BUCKET_WIDTH_MICROS: u64 = 1_000;
+/// First sequence number of internally scheduled events; arrivals count
+/// up from 0 below it.
+const INTERNAL_SEQ_BASE: u64 = 1 << 63;
 
 /// A deterministic priority queue of timestamped events.
 ///
-/// Events with equal timestamps are returned in insertion order, which makes
-/// every simulation in this workspace reproducible bit-for-bit from its seed.
+/// Events with equal timestamps are returned arrivals first, then in
+/// insertion order, which makes every simulation in this workspace
+/// reproducible bit-for-bit from its seed.
 ///
 /// # Example
 ///
@@ -109,6 +115,7 @@ pub struct EventQueue<E> {
     /// High-water mark of `len` since creation.
     peak: usize,
     next_seq: u64,
+    next_arrival_seq: u64,
 }
 
 impl<E> EventQueue<E> {
@@ -122,7 +129,8 @@ impl<E> EventQueue<E> {
             overflow: BinaryHeap::new(),
             len: 0,
             peak: 0,
-            next_seq: 0,
+            next_seq: INTERNAL_SEQ_BASE,
+            next_arrival_seq: 0,
         }
     }
 
@@ -156,7 +164,22 @@ impl<E> EventQueue<E> {
     pub fn schedule(&mut self, time: SimTime, event: E) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.place(ScheduledEvent { time, seq, event });
+        self.insert(ScheduledEvent { time, seq, event })
+    }
+
+    /// Schedules an external arrival at `time`. At equal timestamps it
+    /// pops before every [`schedule`](Self::schedule)d event, even one
+    /// enqueued earlier, and after every arrival enqueued before it.
+    pub fn schedule_arrival(&mut self, time: SimTime, event: E) -> u64 {
+        let seq = self.next_arrival_seq;
+        self.next_arrival_seq += 1;
+        debug_assert!(self.next_arrival_seq < INTERNAL_SEQ_BASE);
+        self.insert(ScheduledEvent { time, seq, event })
+    }
+
+    fn insert(&mut self, s: ScheduledEvent<E>) -> u64 {
+        let seq = s.seq;
+        self.place(s);
         self.len += 1;
         self.peak = self.peak.max(self.len);
         self.settle();
@@ -375,6 +398,28 @@ mod tests {
     }
 
     #[test]
+    fn arrivals_pop_before_internal_events_at_the_same_instant() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_micros(1_500);
+        q.schedule(t, "internal-a");
+        q.schedule_arrival(t, "arrival-1");
+        q.schedule(t, "internal-b");
+        q.schedule_arrival(t, "arrival-2");
+        q.schedule_arrival(SimTime::from_micros(1_499), "earlier");
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(
+            order,
+            [
+                "earlier",
+                "arrival-1",
+                "arrival-2",
+                "internal-a",
+                "internal-b"
+            ]
+        );
+    }
+
+    #[test]
     fn peek_does_not_consume() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_millis(7), ());
@@ -535,32 +580,40 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+    use std::cmp::Reverse;
 
-    /// Reference model: the plain BinaryHeap future-event list the calendar
-    /// queue replaced. Pop order must be identical.
+    /// Reference model: a plain `BinaryHeap` keyed by `(time, internal,
+    /// schedule order)`, so arrivals win timestamp ties and each class is
+    /// FIFO. Pop order must be identical.
     struct HeapModel {
-        heap: BinaryHeap<ScheduledEvent<u32>>,
-        next_seq: u64,
+        heap: BinaryHeap<Reverse<(SimTime, bool, u64, u32)>>,
+        order: u64,
     }
 
     impl HeapModel {
         fn new() -> Self {
             HeapModel {
                 heap: BinaryHeap::new(),
-                next_seq: 0,
+                order: 0,
             }
         }
-        fn schedule(&mut self, time: SimTime, event: u32) {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.heap.push(ScheduledEvent { time, seq, event });
+        fn schedule(&mut self, time: SimTime, internal: bool, event: u32) {
+            self.order += 1;
+            self.heap.push(Reverse((time, internal, self.order, event)));
         }
         fn pop(&mut self) -> Option<(SimTime, u32)> {
-            self.heap.pop().map(|s| (s.time, s.event))
+            self.heap.pop().map(|Reverse((t, _, _, e))| (t, e))
+        }
+        fn peek_time(&self) -> Option<SimTime> {
+            self.heap.peek().map(|Reverse((t, ..))| *t)
         }
         fn cancel_where<F: FnMut(&u32) -> bool>(&mut self, mut pred: F) -> usize {
             let before = self.heap.len();
-            let kept: Vec<_> = self.heap.drain().filter(|s| !pred(&s.event)).collect();
+            let kept: Vec<_> = self
+                .heap
+                .drain()
+                .filter(|Reverse((.., e))| !pred(e))
+                .collect();
             self.heap = kept.into();
             before - self.heap.len()
         }
@@ -569,19 +622,23 @@ mod proptests {
     #[derive(Debug, Clone)]
     enum Op {
         Schedule(u64),
+        Arrive(u64),
         Pop,
         CancelMod(u32),
     }
 
     fn op_strategy() -> impl Strategy<Value = Op> {
-        // Mix of near-future (on-wheel), coarse duplicate timestamps (FIFO
-        // tie-breaking), far-future (overflow heap), pops, and cancels.
-        (0u32..10, 0u64..5_000_000, 2u32..5).prop_map(|(kind, t, m)| match kind {
+        // Mix of near-future (on-wheel), coarse duplicate timestamps (tie
+        // breaking, arrivals against internal events), far-future
+        // (overflow heap), pops, and cancels.
+        (0u32..12, 0u64..5_000_000, 2u32..5).prop_map(|(kind, t, m)| match kind {
             0..=3 => Op::Schedule(t),
             4 => Op::Schedule((t % 64) * 1_000),
             5 => Op::Schedule((t % 4) * 3_600_000_000),
             6..=8 => Op::Pop,
-            _ => Op::CancelMod(m),
+            9 => Op::CancelMod(m),
+            10 => Op::Arrive((t % 64) * 1_000),
+            _ => Op::Arrive(t),
         })
     }
 
@@ -596,7 +653,12 @@ mod proptests {
                 match op {
                     Op::Schedule(t) => {
                         q.schedule(SimTime::from_micros(t), payload);
-                        model.schedule(SimTime::from_micros(t), payload);
+                        model.schedule(SimTime::from_micros(t), true, payload);
+                        payload += 1;
+                    }
+                    Op::Arrive(t) => {
+                        q.schedule_arrival(SimTime::from_micros(t), payload);
+                        model.schedule(SimTime::from_micros(t), false, payload);
                         payload += 1;
                     }
                     Op::Pop => {
@@ -611,7 +673,7 @@ mod proptests {
                 prop_assert_eq!(q.len(), model.heap.len());
                 peak = peak.max(q.len());
                 prop_assert_eq!(q.peak(), peak);
-                prop_assert_eq!(q.peek_time(), model.heap.peek().map(|s| s.time));
+                prop_assert_eq!(q.peek_time(), model.peek_time());
             }
             // Drain both to the end: full order must agree.
             loop {

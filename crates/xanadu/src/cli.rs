@@ -337,6 +337,19 @@ pub enum CliError {
     },
     /// Reading or parsing the SDL document failed.
     Workflow(String),
+    /// `xanadu serve` re-simulated the stream prefix its checkpoint
+    /// covers and arrived at a different count than the cursor recorded:
+    /// the checkpoint was not written by this program and configuration.
+    CheckpointMismatch {
+        /// The checkpoint directory.
+        dir: String,
+        /// The cursor field that disagrees.
+        field: String,
+        /// The value the cursor recorded.
+        recorded: u64,
+        /// The value re-simulating the prefix produced.
+        derived: u64,
+    },
     /// `xanadu diff` found metrics past their thresholds; each detail line
     /// names the regressed field by its JSON-pointer-style path.
     Regressions {
@@ -392,6 +405,16 @@ impl fmt::Display for CliError {
                 conflicting.join(", ")
             ),
             CliError::Workflow(msg) => write!(f, "workflow error: {msg}"),
+            CliError::CheckpointMismatch {
+                dir,
+                field,
+                recorded,
+                derived,
+            } => write!(
+                f,
+                "checkpoint in {dir} records {field} = {recorded}, but re-simulating \
+                 its stream prefix gives {derived}; point --checkpoint-dir at a fresh directory"
+            ),
             CliError::Regressions {
                 baseline,
                 candidate,
@@ -538,13 +561,14 @@ each offending field.
 `record` writes a seeded trigger stream (JSONL: one header line, then
 one `{at_us, wf}` event per line) that `serve --stream` replays
 deterministically.
-`serve` is the service tier: it ingests the stream in `--checkpoint-every`
-event epochs, learns implicit chains online into bounded-memory sketches
-(`--sketch-edges` space-saving edge candidates plus count-min arrival
-rates) and appends the full service state to an atomic segment log under
-`--checkpoint-dir` after every epoch. Killing and rerunning the same
-command resumes from the last checkpoint with byte-identical final
-exports. `--alerts-out` appends one schema-validated JSON line per SLO
+`serve` is the service tier: one platform ingests the stream in
+`--checkpoint-every` event epochs, learns implicit chains online into
+bounded-memory sketches (`--sketch-edges` space-saving edge candidates
+plus count-min arrival rates) and appends a stream cursor to an atomic
+segment log under `--checkpoint-dir` after every epoch; the cadence does
+not change the results. Killing and rerunning the same command
+re-simulates the checkpointed prefix and continues with byte-identical
+final exports. `--alerts-out` appends one schema-validated JSON line per SLO
 breach the moment its window becomes final; `--metrics-text` atomically
 rewrites a Prometheus-style text exposition each flush; `--status-every
 K` prints a stderr status line (uptime, events/sec, window quantiles,
@@ -552,8 +576,7 @@ open alerts, sketch occupancy, checkpoint lag) every K checkpoints.
 `--stop-after-checkpoints K` pauses at an exact boundary (the restart
 suites use this); `--fail-on-alert` exits non-zero when any alert was
 raised. `--bench-out` merges a `service` row (sustained events/sec,
-amortized checkpoint cost, streaming-vs-batch p95 delta) into the named
-BENCH_harness.json.
+amortized checkpoint cost) into the named BENCH_harness.json.
 `validate` checks a JSON document against a schema file and exits
 non-zero on mismatch (CI uses it on the exports); a `.jsonl` document
 (e.g. the serve alerts stream) is validated line by line.

@@ -1,19 +1,26 @@
-//! The `xanadu serve` daemon tier: unbounded stream ingest with
-//! incremental checkpointing and a live observability plane.
+//! The `xanadu serve` daemon tier: unbounded stream ingest with cursor
+//! checkpoints and a live observability plane.
 //!
-//! `serve` turns the batch simulator into a long-running service. A
-//! trigger stream (replayed from a `xanadu record` file or regenerated
-//! from a seed) is consumed in fixed-size *epochs*; after each epoch the
-//! service state — streaming audit, the SLO windows that became final
-//! during the epoch plus the still-open ones, learning sketches, learned
-//! chain profiles and the stream cursor — is appended to a
-//! [`SegmentLog`] under `--checkpoint-dir`, so each segment is the size
-//! of one epoch, not of the history so far. Killing the process between
-//! checkpoints loses nothing that was durable: rerunning the same
-//! command replays the manifest, resumes at the recorded cursor and
-//! produces **byte-identical** final audit and alert exports, because
-//! every epoch's platform is seeded from `derive(seed, "serve-epoch")
-//! .child(epoch)` and never from wall-clock state.
+//! `serve` is a replay plus a cursor. One long-lived [`Platform`], built
+//! exactly as a batch replay of the stream builds it, ingests the trigger
+//! stream in *epochs* of `--checkpoint-every` events. Each epoch enqueues
+//! only its own slice of triggers and runs the platform strictly up to
+//! the next slice's first trigger. Warm workers, keep-alive timers,
+//! learned chain profiles and RNG positions therefore carry across epoch
+//! boundaries, and the cadence changes nothing that is simulated (see
+//! [`Platform::trigger_at`] for the tie rule that makes slice-by-slice
+//! ingest equal to up-front ingest). After each epoch one segment holding
+//! only the `serve/cursor` document is appended to a [`SegmentLog`] under
+//! `--checkpoint-dir`.
+//!
+//! Rerunning the same command after a kill resumes at the recorded
+//! cursor by re-simulating the prefix it covers, silently: no segment
+//! appends and no alert-file writes. The re-derived counts must equal
+//! the cursor's, or the resume fails with
+//! [`CliError::CheckpointMismatch`]. The final audit, SLO and alert
+//! exports are **byte-identical** to an uninterrupted run at any cadence.
+//! Resume costs O(prefix) simulation; serve holds the whole stream in
+//! memory anyway.
 //!
 //! Observability while running:
 //!
@@ -47,10 +54,10 @@ use xanadu_platform::export::{
     alert_json_line, service_metrics_text, slo_json_string, streaming_json_string, ServiceStatus,
 };
 use xanadu_platform::{
-    AuditCheckpoint, BusEvent, DiffThresholds, Platform, PlatformConfig, SegmentLog, SloCheckpoint,
-    SloConfig, SloFinal, SloMonitor, StreamingAudit, StreamingConfig,
+    BusEvent, DiffThresholds, MetaStore, ObserverHandle, Platform, PlatformConfig, SegmentLog,
+    SloAlert, SloConfig, SloMonitor, StreamingAudit, StreamingConfig,
 };
-use xanadu_simcore::{fnv1a64, RngStream, SimDuration};
+use xanadu_simcore::{fnv1a64, SimDuration, SimTime};
 use xanadu_workloads::stream::{
     GeneratedStream, RecordedStream, StreamEvent, StreamHeader, StreamSource,
 };
@@ -69,9 +76,9 @@ pub struct ServeArgs {
     pub depth: u32,
     /// Per-workflow Poisson arrival rate (ignored with `--stream`).
     pub rate_per_hour: f64,
-    /// Master seed: arrival processes and per-epoch platform seeds.
+    /// Master seed: arrival processes and the platform.
     pub seed: u64,
-    /// Xanadu execution mode for every epoch platform.
+    /// Xanadu execution mode of the platform.
     pub mode: ExecutionMode,
     /// Directory of the append-only checkpoint segment log.
     pub checkpoint_dir: String,
@@ -120,53 +127,49 @@ pub struct RecordArgs {
     pub seed: u64,
 }
 
-/// Checkpoint-document ids inside the segment log.
+/// Id of the one document each checkpoint segment holds.
 const DOC_CURSOR: &str = "serve/cursor";
-const DOC_AUDIT: &str = "serve/audit";
-const DOC_SLO: &str = "serve/slo";
-/// Prefix of the per-epoch documents holding the SLO windows and alerts
-/// that became final during that epoch (`serve/slo-final/<epoch:06>`).
-const DOC_SLO_FINAL: &str = "serve/slo-final/";
-const DOC_SKETCH: &str = "serve/sketch";
-const LEARNED_DOCS: [&str; 2] = ["learned/metrics", "learned/branches"];
 
 /// [`ServeCursor`] layout version; 2 added seed, mode, sketch and SLO;
-/// 3 split the SLO checkpoint into per-epoch final documents.
-const CURSOR_VERSION: u64 = 3;
+/// 3 split the SLO checkpoint into per-epoch final documents; 4 keeps
+/// only the cursor, since resume re-simulates the prefix.
+const CURSOR_VERSION: u64 = 4;
 
-/// The resume cursor: where in the stream the durable state ends, and
-/// every knob a resume must repeat (see `load_state`).
+/// The resume cursor: every knob a resume must repeat (see
+/// [`load_cursor`]) and the counts the prefix it covers must re-derive.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct ServeCursor {
     /// Cursor format version ([`CURSOR_VERSION`]).
     version: u64,
     /// Digest of the stream header — resuming against a different
-    /// stream (or epoch cadence) is a mechanical error, not a guess.
+    /// stream is a mechanical error, not a guess.
     header_digest: String,
     /// Epoch width the checkpoints were cut at.
     checkpoint_every: u64,
-    /// Master seed of the epoch platforms (`--seed`).
+    /// Master seed of the platform (`--seed`).
     seed: u64,
-    /// Execution mode of the epoch platforms (`--mode`).
+    /// Execution mode of the platform (`--mode`).
     mode: ExecutionMode,
     /// Capacity of the edge sketch (`--sketch-edges`).
     sketch_edges: usize,
+    /// Tumbling SLO window width (`--slo-window-secs`).
+    slo_window_secs: u64,
     /// Digest of the SLO thresholds document (`--slo`).
     slo_digest: String,
-    /// Stream events durably consumed.
+    /// Stream events consumed at the cut.
     events_consumed: u64,
-    /// Requests completed across all epochs (the request-id base).
-    requests: u64,
     /// Epochs completed.
     epochs: u64,
-    /// Alerts emitted so far (sanity cross-check on resume).
+    /// Requests completed at the cut.
+    requests_completed: u64,
+    /// Alerts emitted at the cut.
     alerts_emitted: u64,
 }
 
 /// The bounded-memory learning plane: hot invocation edges (candidates
 /// for speculative pre-warm across implicit chains) plus per-workflow
-/// arrival-rate estimates. Serialized whole into each checkpoint.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// arrival-rate estimates. Recomputed from the stream prefix on resume.
+#[derive(Debug)]
 struct SketchState {
     /// Space-saving top-K over `caller>callee` edge keys.
     edges: SpaceSaving,
@@ -235,165 +238,190 @@ pub fn run_record(record: &RecordArgs, exports: &mut Vec<ExportFile>) -> Result<
     ))
 }
 
-/// Everything `serve` accumulates across epochs.
-struct ServiceState {
-    audit: StreamingAudit,
-    slo: SloMonitor,
-    sketch: SketchState,
-    events_consumed: u64,
-    request_base: u64,
-    epoch: u64,
-}
-
-/// Loads the durable service state from a replayed checkpoint store, or
-/// builds the fresh epoch-zero state.
-fn load_state(
-    durable: &xanadu_platform::MetaStore,
-    serve: &ServeArgs,
-    slo_config: &SloConfig,
-    header_digest: &str,
-    slo_digest: &str,
-) -> Result<(ServiceState, bool), CliError> {
-    let Some((cursor_doc, _)) = durable.get(DOC_CURSOR) else {
-        return Ok((
-            ServiceState {
-                audit: StreamingAudit::new(StreamingConfig::default()),
-                slo: SloMonitor::collector(slo_config.clone()),
-                sketch: SketchState {
-                    edges: SpaceSaving::new(serve.sketch_edges),
-                    rates: CountMinSketch::new(RATE_SKETCH_DEPTH, RATE_SKETCH_WIDTH),
-                },
-                events_consumed: 0,
-                request_base: 0,
-                epoch: 0,
-            },
-            false,
-        ));
+/// Reads the cursor of a replayed checkpoint store, if there is one, and
+/// checks that every knob shaping the simulation matches `identity`, the
+/// cursor this run would write: a resumed run must not blend two
+/// configurations.
+fn load_cursor(
+    durable: &MetaStore,
+    identity: &ServeCursor,
+    dir: &str,
+) -> Result<Option<ServeCursor>, CliError> {
+    let Some((doc, _)) = durable.get(DOC_CURSOR) else {
+        return Ok(None);
     };
-    let bad_doc = |id: &str, e: &dyn std::fmt::Display| {
-        CliError::Workflow(format!("checkpoint document {id} is corrupt: {e}"))
-    };
-    let version = cursor_doc
-        .get("version")
-        .and_then(Value::as_u64)
-        .unwrap_or(0);
+    let version = doc.get("version").and_then(Value::as_u64).unwrap_or(0);
     if version != CURSOR_VERSION {
         return Err(CliError::Workflow(format!(
-            "checkpoint in {} has cursor version {version}, not {CURSOR_VERSION}; \
+            "checkpoint in {dir} has cursor version {version}, not {CURSOR_VERSION}; \
              point --checkpoint-dir at a fresh directory",
-            serve.checkpoint_dir,
         )));
     }
-    let cursor: ServeCursor =
-        serde_json::from_value(cursor_doc.clone()).map_err(|e| bad_doc(DOC_CURSOR, &e))?;
-    if cursor.header_digest != header_digest {
+    let cursor: ServeCursor = serde_json::from_value(doc.clone()).map_err(|e| {
+        CliError::Workflow(format!("checkpoint document {DOC_CURSOR} is corrupt: {e}"))
+    })?;
+    if cursor.header_digest != identity.header_digest {
         return Err(CliError::Workflow(format!(
-            "checkpoint in {} was recorded from a different stream \
-             (header digest {} != {header_digest}); point --checkpoint-dir \
+            "checkpoint in {dir} was recorded from a different stream \
+             (header digest {} != {}); point --checkpoint-dir \
              at a fresh directory or replay the original stream",
-            serve.checkpoint_dir, cursor.header_digest
+            cursor.header_digest, identity.header_digest
         )));
     }
-    let typed = |id: &str| -> Result<Value, CliError> {
-        durable
-            .get(id)
-            .map(|(doc, _)| doc.clone())
-            .ok_or_else(|| CliError::Workflow(format!("checkpoint document {id} is missing")))
+    let knobs = |c: &ServeCursor| {
+        [
+            ("--checkpoint-every", c.checkpoint_every.to_string()),
+            ("--slo-window-secs", format!("{}s", c.slo_window_secs)),
+            ("--seed", c.seed.to_string()),
+            ("--mode", c.mode.label().to_string()),
+            ("--sketch-edges", c.sketch_edges.to_string()),
+            ("--slo", c.slo_digest.clone()),
+        ]
     };
-    let audit_cp: AuditCheckpoint =
-        serde_json::from_value(typed(DOC_AUDIT)?).map_err(|e| bad_doc(DOC_AUDIT, &e))?;
-    let open_slo: SloCheckpoint =
-        serde_json::from_value(typed(DOC_SLO)?).map_err(|e| bad_doc(DOC_SLO, &e))?;
-    let finals = durable
-        .query_prefix(DOC_SLO_FINAL)
-        .into_iter()
-        .map(|(id, doc)| {
-            serde_json::from_value::<SloFinal>(doc.clone()).map_err(|e| bad_doc(id, &e))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let slo_cp = open_slo.rejoin(finals).map_err(|e| bad_doc(DOC_SLO, &e))?;
-    // Every knob that shapes what the epochs simulate must match the
-    // checkpoint, or the resumed run would blend two configurations.
-    let secs = |us: u64| format!("{}s", us as f64 / 1e6);
-    let identity = [
-        (
-            "--checkpoint-every",
-            serve.checkpoint_every.to_string(),
-            cursor.checkpoint_every.to_string(),
-        ),
-        (
-            "--slo-window-secs",
-            secs(slo_config.window.as_micros()),
-            secs(slo_cp.window_us),
-        ),
-        ("--seed", serve.seed.to_string(), cursor.seed.to_string()),
-        (
-            "--mode",
-            serve.mode.label().into(),
-            cursor.mode.label().into(),
-        ),
-        (
-            "--sketch-edges",
-            serve.sketch_edges.to_string(),
-            cursor.sketch_edges.to_string(),
-        ),
-        ("--slo", slo_digest.to_string(), cursor.slo_digest.clone()),
-    ];
-    for (flag, value, recorded) in identity {
+    for ((flag, value), (_, recorded)) in knobs(identity).into_iter().zip(knobs(&cursor)) {
         if value != recorded {
             return Err(CliError::BadValue {
                 flag: flag.into(),
                 value,
-                expected: format!(
-                    "{recorded}, as recorded by the checkpoint in {}",
-                    serve.checkpoint_dir
-                ),
+                expected: format!("{recorded}, as recorded by the checkpoint in {dir}"),
             });
         }
     }
-    let sketch: SketchState =
-        serde_json::from_value(typed(DOC_SKETCH)?).map_err(|e| bad_doc(DOC_SKETCH, &e))?;
-    let slo = SloMonitor::from_checkpoint(&slo_cp);
-    debug_assert_eq!(slo.alerts().len() as u64, cursor.alerts_emitted);
-    Ok((
-        ServiceState {
-            audit: StreamingAudit::from_checkpoint(&audit_cp),
-            slo,
-            sketch,
-            events_consumed: cursor.events_consumed,
-            request_base: cursor.requests,
-            epoch: cursor.epochs,
-        },
-        true,
-    ))
+    Ok(Some(cursor))
 }
 
-/// Builds one epoch's platform: reseeded config, the full implicit
-/// workflow population, and the learned chain profiles restored from the
-/// durable store (when any epoch has persisted them yet).
-fn epoch_platform(
-    config: &PlatformConfig,
-    header: &StreamHeader,
-    durable: &xanadu_platform::MetaStore,
-    epoch: u64,
-    base_seed: u64,
-) -> Result<Platform, CliError> {
-    let epoch_seed = RngStream::derive(base_seed, "serve-epoch")
-        .child(epoch)
-        .next_u64();
-    let mut platform = Platform::new(config.reseeded(epoch_seed));
-    for wf in 0..header.workflows {
-        let name = header.workflow_name(wf);
-        let template = FunctionSpec::new(format!("{name}-f")).service_ms(400.0);
-        let dag = linear_chain(&name, header.depth as usize, &template).map_err(workflow_err)?;
-        platform.deploy_implicit(dag).map_err(workflow_err)?;
-    }
-    if LEARNED_DOCS.iter().all(|id| durable.get(id).is_some()) {
-        platform
-            .restore_learned_state(durable)
+/// The running service: one platform over the whole stream, its audit
+/// and SLO observers, the sketches, and how far into the stream it is.
+struct Service<'a> {
+    header: &'a StreamHeader,
+    events: &'a [StreamEvent],
+    checkpoint_every: u64,
+    window_us: u64,
+    platform: Platform,
+    audit: ObserverHandle<StreamingAudit>,
+    slo: ObserverHandle<SloMonitor>,
+    sketch: SketchState,
+    events_consumed: u64,
+    epochs: u64,
+}
+
+impl<'a> Service<'a> {
+    /// Deploys the stream's implicit workflow population on one platform
+    /// and attaches the observers that are serve's only record.
+    fn new(
+        serve: &ServeArgs,
+        slo_config: &SloConfig,
+        header: &'a StreamHeader,
+        events: &'a [StreamEvent],
+    ) -> Result<Self, CliError> {
+        let config = PlatformConfig::builder()
+            .for_mode(serve.mode, serve.seed)
+            .record_traces(false)
+            .build()
             .map_err(workflow_err)?;
+        let mut platform = Platform::new(config);
+        for wf in 0..header.workflows {
+            let name = header.workflow_name(wf);
+            let template = FunctionSpec::new(format!("{name}-f")).service_ms(400.0);
+            let dag =
+                linear_chain(&name, header.depth as usize, &template).map_err(workflow_err)?;
+            platform.deploy_implicit(dag).map_err(workflow_err)?;
+        }
+        let audit = platform.attach_observer(StreamingAudit::new(StreamingConfig::default()));
+        let slo = platform.attach_observer(SloMonitor::collector(slo_config.clone()));
+        Ok(Service {
+            header,
+            events,
+            checkpoint_every: serve.checkpoint_every,
+            window_us: slo_config.window.as_micros(),
+            platform,
+            audit,
+            slo,
+            sketch: SketchState {
+                edges: SpaceSaving::new(serve.sketch_edges),
+                rates: CountMinSketch::new(RATE_SKETCH_DEPTH, RATE_SKETCH_WIDTH),
+            },
+            events_consumed: 0,
+            epochs: 0,
+        })
     }
-    Ok(platform)
+
+    /// Ingests the next epoch's slice of triggers and runs the platform
+    /// to the cut: strictly before the next slice's first trigger, or to
+    /// idle after the last slice. Returns the alerts of the SLO windows
+    /// the cut made final.
+    fn advance(&mut self) -> Result<Vec<SloAlert>, CliError> {
+        let start = self.events_consumed as usize;
+        let end = self
+            .events_consumed
+            .saturating_add(self.checkpoint_every)
+            .min(self.events.len() as u64) as usize;
+        for ev in &self.events[start..end] {
+            let name = self.header.workflow_name(ev.wf);
+            self.sketch.rates.observe(&name, 1);
+            for hop in 1..self.header.depth {
+                let edge = format!("{name}-f{}>{name}-f{hop}", hop - 1);
+                self.sketch.edges.observe(&edge);
+            }
+            self.platform
+                .trigger_at(&name, ev.at())
+                .map_err(workflow_err)?;
+        }
+        // Every completion still to come lands at or after the cut, so
+        // the SLO windows wholly before it are final.
+        let horizon = match self.events.get(end) {
+            Some(next) => {
+                if let Some(last) = next.at_us.checked_sub(1) {
+                    self.platform.run_until(SimTime::from_micros(last));
+                }
+                next.at_us / self.window_us
+            }
+            None => {
+                self.platform.run_until_idle();
+                u64::MAX
+            }
+        };
+        // The streaming audit is serve's only record of a request.
+        self.platform.clear_results();
+        self.events_consumed = end as u64;
+        self.epochs += 1;
+        Ok(self.slo.with_mut(|slo| slo.evaluate_below(horizon)))
+    }
+
+    /// The cursor at the current cut.
+    fn cursor(&self, identity: &ServeCursor) -> ServeCursor {
+        ServeCursor {
+            events_consumed: self.events_consumed,
+            epochs: self.epochs,
+            requests_completed: self.audit.with(|audit| audit.summary().requests),
+            alerts_emitted: self.slo.with(|slo| slo.alerts().len() as u64),
+            ..identity.clone()
+        }
+    }
+}
+
+/// Checks the counts re-derived from the stream prefix against the
+/// cursor that recorded them.
+fn verify_resume(recorded: &ServeCursor, derived: &ServeCursor, dir: &str) -> Result<(), CliError> {
+    let counts = |c: &ServeCursor| {
+        [
+            ("events_consumed", c.events_consumed),
+            ("epochs", c.epochs),
+            ("requests_completed", c.requests_completed),
+            ("alerts_emitted", c.alerts_emitted),
+        ]
+    };
+    for ((field, recorded), (_, derived)) in counts(recorded).into_iter().zip(counts(derived)) {
+        if recorded != derived {
+            return Err(CliError::CheckpointMismatch {
+                dir: dir.to_string(),
+                field: field.to_string(),
+                recorded,
+                derived,
+            });
+        }
+    }
+    Ok(())
 }
 
 /// Atomically replaces `path` with `contents` (`.tmp` + rename, same
@@ -409,9 +437,11 @@ fn rewrite_atomic(path: &str, contents: &str) -> Result<(), CliError> {
 ///
 /// # Errors
 ///
-/// [`CliError::Workflow`] on stream/checkpoint problems and
-/// [`CliError::SloBreach`] when `--fail-on-alert` is set and the run
-/// ends with alerts raised.
+/// [`CliError::Workflow`] on stream/checkpoint problems,
+/// [`CliError::BadValue`] when a resume changes a knob the checkpoint
+/// recorded, [`CliError::CheckpointMismatch`] when the re-simulated
+/// prefix disagrees with the checkpoint, and [`CliError::SloBreach`] when
+/// `--fail-on-alert` is set and the run ends with alerts raised.
 pub fn run_serve(
     serve: &ServeArgs,
     source: &impl Fn(&str) -> Result<String, String>,
@@ -432,7 +462,6 @@ pub fn run_serve(
             serve.events,
         )),
     };
-    let header_digest = json_digest(&header);
 
     let thresholds: DiffThresholds = match &serve.slo {
         None => DiffThresholds::default(),
@@ -443,16 +472,28 @@ pub fn run_serve(
             })?
         }
     };
+    let identity = ServeCursor {
+        version: CURSOR_VERSION,
+        header_digest: json_digest(&header),
+        checkpoint_every: serve.checkpoint_every,
+        seed: serve.seed,
+        mode: serve.mode,
+        sketch_edges: serve.sketch_edges,
+        slo_window_secs: serve.slo_window_secs,
+        slo_digest: json_digest(&thresholds),
+        events_consumed: 0,
+        epochs: 0,
+        requests_completed: 0,
+        alerts_emitted: 0,
+    };
     let slo_config = SloConfig {
         window: SimDuration::from_secs(serve.slo_window_secs),
         thresholds,
     };
-    let window_us = slo_config.window.as_micros();
-    let slo_digest = json_digest(&slo_config.thresholds);
 
     let log = SegmentLog::open(&serve.checkpoint_dir)
         .map_err(|e| workflow_err(format!("checkpoint log: {e}")))?;
-    let mut durable = log
+    let durable = log
         .replay()
         .map_err(|e| workflow_err(format!("checkpoint log: {e}")))?;
     let mut segments = log
@@ -460,85 +501,45 @@ pub fn run_serve(
         .map_err(|e| workflow_err(format!("checkpoint log: {e}")))?
         .segments
         .len() as u64;
+    let resume = load_cursor(&durable, &identity, &serve.checkpoint_dir)?;
 
-    let (mut state, resumed) =
-        load_state(&durable, serve, &slo_config, &header_digest, &slo_digest)?;
-    let mut restored_event = resumed.then_some(BusEvent::CheckpointRestored {
-        epoch: state.epoch,
-        segments,
-        events: state.events_consumed,
-    });
+    let started = Instant::now();
+    let total = events.len() as u64;
+    let mut service = Service::new(serve, &slo_config, &header, &events)?;
+    if let Some(recorded) = &resume {
+        // Re-derive the durable prefix silently: its segments and alert
+        // lines are already written.
+        while service.events_consumed < recorded.events_consumed.min(total) {
+            service.advance()?;
+        }
+        verify_resume(recorded, &service.cursor(&identity), &serve.checkpoint_dir)?;
+        service.platform.announce(BusEvent::CheckpointRestored {
+            epoch: service.epochs,
+            segments,
+            events: service.events_consumed,
+        });
+    }
 
     // The alerts stream is rewritten to exactly the durable alert list on
     // startup: a crash after an append but before the matching checkpoint
     // must not leave phantom lines behind.
     if let Some(path) = &serve.alerts_out {
         let mut text = String::new();
-        for alert in state.slo.alerts() {
-            text.push_str(&alert_json_line(alert));
+        for alert in service.slo.with(|slo| slo.alerts().to_vec()) {
+            text.push_str(&alert_json_line(&alert));
             text.push('\n');
         }
         std::fs::write(path, text).map_err(|e| workflow_err(format!("{path}: {e}")))?;
     }
 
-    let config = PlatformConfig::builder()
-        .for_mode(serve.mode, serve.seed)
-        .record_traces(false)
-        .build()
-        .map_err(workflow_err)?;
-
-    let total = events.len() as u64;
-    let started = Instant::now();
-    let start_events = state.events_consumed;
     let mut checkpoints_this_run = 0u64;
-
-    while state.events_consumed < total {
+    while service.events_consumed < total {
         if serve.stop_after_checkpoints > 0 && checkpoints_this_run >= serve.stop_after_checkpoints
         {
             break;
         }
-        let slice_end = (state.events_consumed + serve.checkpoint_every).min(total);
-        let slice = &events[state.events_consumed as usize..slice_end as usize];
-
-        let mut platform = epoch_platform(&config, &header, &durable, state.epoch, serve.seed)?;
-        if let Some(event) = restored_event.take() {
-            platform.announce(event);
-        }
-        let audit_handle =
-            platform.attach_observer(StreamingAudit::new(StreamingConfig::default()));
-        let slo_handle = platform.attach_observer(SloMonitor::collector(slo_config.clone()));
-
-        let evictions_before = state.sketch.edges.evictions();
-        for ev in slice {
-            let name = header.workflow_name(ev.wf);
-            state.sketch.rates.observe(&name, 1);
-            for hop in 1..header.depth {
-                let edge = format!("{name}-f{}>{name}-f{hop}", hop - 1);
-                state.sketch.edges.observe(&edge);
-            }
-            platform.trigger_at(&name, ev.at()).map_err(workflow_err)?;
-        }
-        platform.run_until_idle();
-        platform.roll_profile_window();
-
-        let mut epoch_audit = audit_handle.snapshot();
-        epoch_audit.offset_requests(state.request_base);
-        state.request_base += epoch_audit.summary().requests;
-        state.audit.merge_from(&epoch_audit);
-        state.slo.merge_from(&slo_handle.snapshot());
-        state.events_consumed = slice_end;
-        state.epoch += 1;
-
-        // A tumbling window is only final once every future completion
-        // must land past it: the next epoch's first trigger bounds all of
-        // its completions from below.
-        let horizon = if state.events_consumed < total {
-            events[state.events_consumed as usize].at_us / window_us
-        } else {
-            u64::MAX
-        };
-        let final_since = state.slo.evaluated();
-        let fresh_alerts = state.slo.evaluate_below(horizon);
+        let evictions_before = service.sketch.edges.evictions();
+        let fresh_alerts = service.advance()?;
         if !fresh_alerts.is_empty() {
             if let Some(path) = &serve.alerts_out {
                 let mut file = std::fs::OpenOptions::new()
@@ -552,93 +553,48 @@ pub fn run_serve(
                 }
             }
             for alert in fresh_alerts {
-                platform.announce(alert.into_event());
+                service.platform.announce(alert.into_event());
             }
         }
-        let evicted = state.sketch.edges.evictions() - evictions_before;
+        let sketch = &service.sketch;
+        let evicted = sketch.edges.evictions() - evictions_before;
         if evicted > 0 {
-            platform.announce(BusEvent::SketchEviction {
+            let event = BusEvent::SketchEviction {
                 evicted,
-                occupancy: state.sketch.edges.occupancy() as u64,
-                capacity: state.sketch.edges.capacity() as u64,
-            });
+                occupancy: sketch.edges.occupancy() as u64,
+                capacity: sketch.edges.capacity() as u64,
+            };
+            service.platform.announce(event);
         }
 
-        platform.persist_learned_state();
-        for id in LEARNED_DOCS {
-            if let Some((doc, _)) = platform.metastore().get(id) {
-                durable.put(id, doc.clone());
-            }
-        }
-        let cursor = ServeCursor {
-            version: CURSOR_VERSION,
-            header_digest: header_digest.clone(),
-            checkpoint_every: serve.checkpoint_every,
-            seed: serve.seed,
-            mode: serve.mode,
-            sketch_edges: serve.sketch_edges,
-            slo_digest: slo_digest.clone(),
-            events_consumed: state.events_consumed,
-            requests: state.request_base,
-            epochs: state.epoch,
-            alerts_emitted: state.slo.alerts().len() as u64,
-        };
-        // Windows final before this epoch are already durable in earlier
-        // segments; this one adds only what became final since.
-        let (slo_final, slo_open) = state.slo.checkpoint().split(final_since);
-        let mut docs: Vec<(String, Value)> = Vec::with_capacity(7);
-        for id in LEARNED_DOCS {
-            if let Some((doc, _)) = durable.get(id) {
-                docs.push((id.to_string(), doc.clone()));
-            }
-        }
-        docs.push((
-            DOC_AUDIT.to_string(),
-            serde_json::to_value(state.audit.checkpoint()).expect("audit checkpoint serializes"),
-        ));
-        docs.push((
-            DOC_SLO.to_string(),
-            serde_json::to_value(&slo_open).expect("slo checkpoint serializes"),
-        ));
-        docs.push((
-            format!("{DOC_SLO_FINAL}{:06}", state.epoch - 1),
-            serde_json::to_value(&slo_final).expect("final slo windows serialize"),
-        ));
-        docs.push((
-            DOC_SKETCH.to_string(),
-            serde_json::to_value(&state.sketch).expect("sketch state serializes"),
-        ));
-        docs.push((
-            DOC_CURSOR.to_string(),
-            serde_json::to_value(&cursor).expect("cursor serializes"),
-        ));
-        let doc_count = docs.len() as u64;
-        log.append(&docs)
+        let cursor = service.cursor(&identity);
+        let doc = serde_json::to_value(&cursor).expect("cursor serializes");
+        log.append(&[(DOC_CURSOR.to_string(), doc)])
             .map_err(|e| workflow_err(format!("checkpoint log: {e}")))?;
         checkpoints_this_run += 1;
-        platform.announce(BusEvent::CheckpointWritten {
-            epoch: state.epoch - 1,
+        service.platform.announce(BusEvent::CheckpointWritten {
+            epoch: cursor.epochs - 1,
             segment: segments,
-            docs: doc_count,
-            events: state.events_consumed,
+            docs: 1,
+            events: cursor.events_consumed,
         });
         segments += 1;
 
-        let summary = state.audit.summary();
+        let summary = service.audit.with(StreamingAudit::summary);
         let wall = started.elapsed().as_secs_f64();
-        let ingested = state.events_consumed - start_events;
+        let sketch = &service.sketch;
         let status = ServiceStatus {
-            uptime_ms: events[state.events_consumed as usize - 1].at_us as f64 / 1000.0,
-            events: state.events_consumed,
-            requests: state.request_base,
-            checkpoints: state.epoch,
-            alerts: state.slo.alerts().len() as u64,
-            sketch_occupancy: state.sketch.edges.occupancy() as u64,
-            sketch_capacity: state.sketch.edges.capacity() as u64,
-            sketch_evictions: state.sketch.edges.evictions(),
-            checkpoint_lag_events: total - state.events_consumed,
+            uptime_ms: events[cursor.events_consumed as usize - 1].at_us as f64 / 1000.0,
+            events: cursor.events_consumed,
+            requests: cursor.requests_completed,
+            checkpoints: cursor.epochs,
+            alerts: cursor.alerts_emitted,
+            sketch_occupancy: sketch.edges.occupancy() as u64,
+            sketch_capacity: sketch.edges.capacity() as u64,
+            sketch_evictions: sketch.edges.evictions(),
+            checkpoint_lag_events: total - cursor.events_consumed,
             events_per_sec: if wall > 0.0 {
-                ingested as f64 / wall
+                cursor.events_consumed as f64 / wall
             } else {
                 0.0
             },
@@ -647,7 +603,7 @@ pub fn run_serve(
             eprintln!(
                 "serve: epoch {} | stream {:.1}s | {}/{} events | {:.0} ev/s | \
                  p50 {:.0}ms p95 {:.0}ms | alerts {} | sketch {}/{} | lag {}",
-                state.epoch - 1,
+                cursor.epochs - 1,
                 status.uptime_ms / 1000.0,
                 status.events,
                 total,
@@ -665,14 +621,19 @@ pub fn run_serve(
         }
     }
 
-    let summary = state.audit.summary();
-    let slo_report = state.slo.report();
-    let audit_json = streaming_json_string(&state.audit);
+    let (audit_json, summary) = service
+        .audit
+        .with(|audit| (streaming_json_string(audit), audit.summary()));
+    let (slo_report, alerts) = service
+        .slo
+        .with(|slo| (slo.report(), slo.alerts().to_vec()));
     let audit_digest = format!("fnv1a64:{:016x}", fnv1a64(audit_json.as_bytes()));
+    let sketch = &service.sketch;
+    let consumed = service.events_consumed;
+    // This process simulated every consumed event, resumed or not.
     let wall = started.elapsed().as_secs_f64();
-    let ingested = state.events_consumed - start_events;
     let events_per_sec = if wall > 0.0 {
-        ingested as f64 / wall
+        consumed as f64 / wall
     } else {
         0.0
     };
@@ -695,9 +656,9 @@ pub fn run_serve(
         }
     ));
     out.push_str(&format!(
-        "ingested: {}/{} events in {} epoch(s) ({} checkpoint(s) this run), \
-         wall {wall:.2}s, {events_per_sec:.0} events/sec\n",
-        state.events_consumed, total, state.epoch, checkpoints_this_run,
+        "ingested: {consumed}/{total} events in {} epoch(s) ({checkpoints_this_run} \
+         checkpoint(s) this run), wall {wall:.2}s, {events_per_sec:.0} events/sec\n",
+        service.epochs,
     ));
     out.push_str(&format!(
         "requests: {}   p50 {:.0}ms   p95 {:.0}ms   p99.9 {:.0}ms\n",
@@ -709,27 +670,26 @@ pub fn run_serve(
     out.push_str(&format!(
         "sketches: {}/{} edges tracked ({} evictions), {} arrivals counted \
          (±{:.1} per estimate)\n",
-        state.sketch.edges.occupancy(),
-        state.sketch.edges.capacity(),
-        state.sketch.edges.evictions(),
-        state.sketch.rates.total(),
-        state.sketch.rates.error_bound(),
+        sketch.edges.occupancy(),
+        sketch.edges.capacity(),
+        sketch.edges.evictions(),
+        sketch.rates.total(),
+        sketch.rates.error_bound(),
     ));
     out.push_str(&format!(
         "slo: {} window(s) of {}s, {} alert(s)\n",
         slo_report.windows.len(),
         serve.slo_window_secs,
-        state.slo.alerts().len(),
+        alerts.len(),
     ));
     out.push_str(&format!(
         "checkpoints: {} segment(s) in {}\n",
         segments, serve.checkpoint_dir,
     ));
-    if state.events_consumed < total {
+    if consumed < total {
         out.push_str(&format!(
-            "paused after {checkpoints_this_run} checkpoint(s): {}/{} events \
+            "paused after {checkpoints_this_run} checkpoint(s): {consumed}/{total} events \
              durable — rerun the same command to resume\n",
-            state.events_consumed, total,
         ));
     }
     out.push_str(&format!("audit digest: {audit_digest}\n"));
@@ -747,22 +707,12 @@ pub fn run_serve(
         });
     }
     if let Some(path) = &serve.bench_out {
-        let delta = (state.events_consumed == total)
-            .then(|| {
-                batch_p95_delta_ms(
-                    &config,
-                    &header,
-                    &events,
-                    summary.end_to_end.quantile_ms(0.95),
-                )
-            })
-            .transpose()?;
         let mut root: Value = source(path)
             .ok()
             .and_then(|s| serde_json::from_str(&s).ok())
             .unwrap_or_else(|| serde_json::json!({}));
         if let Some(obj) = root.as_object_mut() {
-            let amortized_ms = if state.epoch > 0 {
+            let amortized_ms = if service.epochs > 0 {
                 wall * 1000.0 / checkpoints_this_run.max(1) as f64
             } else {
                 0.0
@@ -771,11 +721,10 @@ pub fn run_serve(
                 "service".to_string(),
                 serde_json::json!({
                     "events_per_sec": events_per_sec,
-                    "events": state.events_consumed,
-                    "requests": state.request_base,
-                    "checkpoints": state.epoch,
+                    "events": consumed,
+                    "requests": summary.requests,
+                    "checkpoints": service.epochs,
                     "checkpoint_amortized_ms": amortized_ms,
-                    "streaming_vs_batch_p95_delta_ms": delta,
                     "audit_digest": audit_digest,
                     "source": "xanadu serve",
                 }),
@@ -787,40 +736,12 @@ pub fn run_serve(
         });
     }
 
-    if serve.fail_on_alert && !state.slo.alerts().is_empty() {
+    if serve.fail_on_alert && !alerts.is_empty() {
         return Err(CliError::SloBreach {
             windows: slo_report.windows.len(),
-            details: state.slo.alerts().iter().map(render_slo_alert).collect(),
+            details: alerts.iter().map(render_slo_alert).collect(),
             exports: std::mem::take(exports),
         });
     }
     Ok(out)
-}
-
-/// The `streaming_vs_batch_p95_delta_ms` bench figure: replays the whole
-/// stream through ONE platform (no epoch resets, warm state persists
-/// across what would have been checkpoint boundaries) and reports how
-/// far the epoch-generational service's p95 sits from that batch
-/// reference. This prices the service tier's restart-anywhere guarantee.
-fn batch_p95_delta_ms(
-    config: &PlatformConfig,
-    header: &StreamHeader,
-    events: &[StreamEvent],
-    streaming_p95_ms: f64,
-) -> Result<f64, CliError> {
-    let durable = xanadu_platform::MetaStore::new();
-    let mut platform = epoch_platform(config, header, &durable, 0, header.seed)?;
-    let audit_handle = platform.attach_observer(StreamingAudit::new(StreamingConfig::default()));
-    for ev in events {
-        platform
-            .trigger_at(&header.workflow_name(ev.wf), ev.at())
-            .map_err(workflow_err)?;
-    }
-    platform.run_until_idle();
-    let batch_p95 = audit_handle
-        .snapshot()
-        .summary()
-        .end_to_end
-        .quantile_ms(0.95);
-    Ok(streaming_p95_ms - batch_p95)
 }

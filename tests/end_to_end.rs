@@ -3,6 +3,26 @@
 
 use xanadu::prelude::*;
 
+/// Observer that keeps every event with its emission time.
+#[derive(Default)]
+struct Collect(Vec<(SimTime, BusEvent)>);
+
+impl Observer for Collect {
+    fn on_event(&mut self, at: SimTime, event: &BusEvent) {
+        self.0.push((at, event.clone()));
+    }
+}
+
+/// The collected events on `topic`, in emission order.
+fn on_topic(events: &ObserverHandle<Collect>, topic: Topic) -> Vec<(SimTime, BusEvent)> {
+    events.with(|c| {
+        c.0.iter()
+            .filter(|(_, e)| e.topic() == topic)
+            .cloned()
+            .collect()
+    })
+}
+
 const CONDITIONAL_SDL: &str = r#"{
     "ingest": {"type": "function", "memory": 512, "runtime": "container",
                "wait_for": [], "service_ms": 800, "conditional": "check"},
@@ -23,7 +43,7 @@ const CONDITIONAL_SDL: &str = r#"{
 #[test]
 fn sdl_conditional_workflow_runs_end_to_end() {
     let mut platform = Platform::new(PlatformConfig::for_mode(ExecutionMode::Jit, 9));
-    let completions = platform.subscribe(Topic::RequestCompleted);
+    let events = platform.attach_observer(Collect::default());
     platform.deploy_sdl("approval", CONDITIONAL_SDL).unwrap();
 
     let n = 12u64;
@@ -36,7 +56,7 @@ fn sdl_conditional_workflow_runs_end_to_end() {
 
     // Every request completed and was announced.
     assert_eq!(platform.results().len(), n as usize);
-    assert_eq!(completions.drain().len(), n as usize);
+    assert_eq!(on_topic(&events, Topic::RequestCompleted).len(), n as usize);
 
     // The XOR decision took both paths across 12 requests with p=0.85.
     let results = platform.results().to_vec();
@@ -60,36 +80,34 @@ fn sdl_conditional_workflow_runs_end_to_end() {
 fn figure10_operation_sequence_over_the_bus() {
     // Figure 10 of the paper: trigger → planning/deployments → worker
     // readiness → function dispatch → completion. Verify that ordering as
-    // it appears on the message bus for a JIT run.
+    // it appears in the platform's event stream for a JIT run.
     let dag = linear_chain("seq", 3, &FunctionSpec::new("f").service_ms(500.0)).unwrap();
     let mut platform = Platform::new(PlatformConfig::for_mode(ExecutionMode::Jit, 21));
-    let provisioned = platform.subscribe(Topic::WorkerProvisioned);
-    let ready = platform.subscribe(Topic::WorkerReady);
-    let completed = platform.subscribe(Topic::RequestCompleted);
+    let events = platform.attach_observer(Collect::default());
     platform.deploy(dag).unwrap();
     platform.trigger_at("seq", SimTime::ZERO).unwrap();
     platform.run_until_idle();
 
-    let provisioned = provisioned.drain();
-    let ready = ready.drain();
-    let completed = completed.drain();
+    let provisioned = on_topic(&events, Topic::WorkerProvisioned);
+    let ready = on_topic(&events, Topic::WorkerReady);
+    let completed = on_topic(&events, Topic::RequestCompleted);
     assert_eq!(provisioned.len(), 3, "one deployment per chain hop");
     assert_eq!(ready.len(), 3);
     assert_eq!(completed.len(), 1);
 
     // JIT staggers the deployments across the workflow's lifetime.
-    assert!(provisioned[0].at < provisioned[2].at);
+    assert!(provisioned[0].0 < provisioned[2].0);
     // Each worker becomes ready after it was provisioned.
     for (p, r) in provisioned.iter().zip(&ready) {
-        assert!(p.at < r.at, "provisioned {} before ready {}", p.at, r.at);
+        assert!(p.0 < r.0, "provisioned {} before ready {}", p.0, r.0);
     }
     // Completion is the last event of the run.
-    assert!(completed[0].at >= ready.last().unwrap().at);
+    assert!(completed[0].0 >= ready.last().unwrap().0);
     // None of the provisions were on-demand: speculation covered the chain.
     for p in &provisioned {
         assert!(
             matches!(
-                p.event,
+                p.1,
                 BusEvent::WorkerProvisioned {
                     on_demand: false,
                     ..

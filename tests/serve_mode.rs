@@ -1,13 +1,15 @@
-//! The service tier end to end: kill-and-restart determinism at every
-//! checkpoint boundary, live-alert/offline-report equivalence,
-//! bounded-memory sketches at stream scale, and the resume guards.
+//! The service tier end to end: cadence invariance, kill-and-restart
+//! determinism at every checkpoint boundary, live-alert/offline-report
+//! equivalence, bounded-memory sketches at stream scale, and the resume
+//! guards.
 //!
-//! The core invariant is *mechanical restart equivalence*: a serve run
-//! interrupted after any number of checkpoints and resumed produces the
-//! final audit JSON, SLO evaluation JSON and alerts JSONL **byte for
-//! byte** identical to the uninterrupted run. No tolerance windows —
-//! `cmp`-grade equality, the same check CI's serve-soak job performs on
-//! the real binary.
+//! The core invariant is *mechanical equivalence*: a serve run at any
+//! `--checkpoint-every`, and a run interrupted after any number of
+//! checkpoints and resumed, produce the final audit JSON, SLO evaluation
+//! JSON and alerts JSONL **byte for byte** identical to the
+//! uninterrupted reference run. No tolerance windows — `cmp`-grade
+//! equality, the same check CI's serve-soak job performs on the real
+//! binary.
 
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
@@ -17,7 +19,7 @@ use xanadu::cli::{execute_with_exports, parse_args, CliError, Command, ExportFil
 use xanadu::serve::{run_record, run_serve, RecordArgs, ServeArgs};
 use xanadu_core::speculation::ExecutionMode;
 use xanadu_core::{CountMinSketch, SpaceSaving};
-use xanadu_platform::{AuditCheckpoint, SegmentLog, SloCheckpoint, SloFinal, SloMonitor};
+use xanadu_platform::{SegmentLog, StreamingConfig};
 use xanadu_workloads::stream::{GeneratedStream, StreamSource};
 
 /// Stream population every test below shares: 4 workflows × depth 3 at
@@ -102,7 +104,12 @@ fn with(args: &ServeArgs, change: impl FnOnce(&mut ServeArgs)) -> ServeArgs {
 /// Runs serve to completion (optionally pausing after `pause_after`
 /// checkpoints first) and returns `(audit json, slo json, alerts jsonl)`.
 fn run_to_end(dir: &Path, strict_slo: bool, pause_after: Option<u64>) -> (String, String, String) {
-    let mut args = base_args(dir, strict_slo);
+    run_with(base_args(dir, strict_slo), pause_after)
+}
+
+/// [`run_to_end`] with explicit arguments.
+fn run_with(mut args: ServeArgs, pause_after: Option<u64>) -> (String, String, String) {
+    let alerts_path = args.alerts_out.clone().expect("alerts are written");
     if let Some(k) = pause_after {
         args.stop_after_checkpoints = k;
         let mut exports = Vec::new();
@@ -119,7 +126,7 @@ fn run_to_end(dir: &Path, strict_slo: bool, pause_after: Option<u64>) -> (String
             .contents
             .clone()
     };
-    let alerts = std::fs::read_to_string(dir.join("alerts.jsonl")).unwrap();
+    let alerts = std::fs::read_to_string(alerts_path).unwrap();
     (grab("audit.json"), grab("slo.json.out"), alerts)
 }
 
@@ -144,6 +151,35 @@ proptest! {
         prop_assert_eq!(&slo, g_slo, "slo diverged at boundary {}", boundary);
         prop_assert_eq!(&alerts, g_alerts, "alerts diverged at boundary {}", boundary);
     }
+
+    /// The cadence is an operational knob: any `--checkpoint-every`, even
+    /// one that cuts the stream every event or never, simulates the same
+    /// stream on the same platform and ends in the reference bytes.
+    #[test]
+    fn any_checkpoint_cadence_is_byte_identical(every in 1u64..=EVENTS) {
+        let dir = scratch_dir(&format!("cadence-{every}"));
+        let args = with(&base_args(&dir, true), |a| a.checkpoint_every = every);
+        let (audit, slo, alerts) = run_with(args, None);
+        let (g_audit, g_slo, g_alerts) = golden();
+        prop_assert_eq!(&audit, g_audit, "audit diverged at cadence {}", every);
+        prop_assert_eq!(&slo, g_slo, "slo diverged at cadence {}", every);
+        prop_assert_eq!(&alerts, g_alerts, "alerts diverged at cadence {}", every);
+    }
+}
+
+/// The offline report's alert list and the live alert lines, parsed.
+fn alert_lists(
+    slo_json: &str,
+    alerts_jsonl: &str,
+) -> (Vec<serde_json::Value>, Vec<serde_json::Value>) {
+    let report: serde_json::Value = serde_json::from_str(slo_json).unwrap();
+    let offline = report["alerts"].as_array().unwrap().clone();
+    let live = alerts_jsonl
+        .lines()
+        .filter(|l| !l.trim().is_empty())
+        .map(|l| serde_json::from_str(l).unwrap())
+        .collect();
+    (offline, live)
 }
 
 /// The live alert stream (appended window-by-window as each becomes
@@ -151,32 +187,34 @@ proptest! {
 /// breaches, same order, same bytes modulo JSONL framing.
 #[test]
 fn live_alerts_equal_offline_slo_report() {
-    let (_, slo_json, alerts_jsonl) = golden().clone();
-    let report: serde_json::Value = serde_json::from_str(&slo_json).unwrap();
-    let offline = report.get("alerts").and_then(|a| a.as_array()).unwrap();
-    let live: Vec<serde_json::Value> = alerts_jsonl
-        .lines()
-        .filter(|l| !l.trim().is_empty())
-        .map(|l| serde_json::from_str(l).unwrap())
-        .collect();
+    let (_, slo_json, alerts_jsonl) = golden();
+    let (offline, live) = alert_lists(slo_json, alerts_jsonl);
     assert!(!offline.is_empty(), "strict thresholds must breach");
-    assert_eq!(&live, offline, "live emission drifted from the report");
+    assert_eq!(live, offline, "live emission drifted from the report");
 }
 
-/// Live alerts are exactly the offline verdicts even without strict
-/// thresholds: a clean stream emits nothing.
+/// Thresholds no window can breach: p95 and waste may grow a billionfold
+/// and recall may drop all the way.
+const LENIENT_SLO: &str = r#"{"max_p95_regress_pct": 1e9,
+  "max_wasted_cpu_regress_pct": 1e9, "max_recall_drop": 1.0}"#;
+
+/// Live alerts are exactly the offline verdicts at the default
+/// thresholds too, and a stream that cannot breach emits nothing.
 #[test]
 fn clean_stream_emits_no_alerts() {
+    let (_, slo_json, alerts) = run_to_end(&scratch_dir("default-slo"), false, None);
+    let (offline, live) = alert_lists(&slo_json, &alerts);
+    assert_eq!(live, offline, "live emission drifted from the report");
+
     let dir = scratch_dir("clean");
-    let (_, slo_json, alerts) = run_to_end(&dir, false, None);
-    let report: serde_json::Value = serde_json::from_str(&slo_json).unwrap();
-    assert_eq!(
-        report
-            .get("alerts")
-            .and_then(|a| a.as_array())
-            .map(Vec::len),
-        Some(0)
-    );
+    let lenient = dir.join("lenient.json");
+    std::fs::write(&lenient, LENIENT_SLO).unwrap();
+    let args = with(&base_args(&dir, false), |a| {
+        a.slo = Some(lenient.to_string_lossy().into_owned())
+    });
+    let (_, slo_json, alerts) = run_with(args, None);
+    let (offline, _) = alert_lists(&slo_json, &alerts);
+    assert!(offline.is_empty(), "{offline:?}");
     assert!(alerts.is_empty(), "phantom alert lines: {alerts}");
 }
 
@@ -217,40 +255,42 @@ fn sketches_stay_bounded_across_a_million_events() {
     assert!(edges.evictions() > 0, "1000 keys vs 64 counters must evict");
 }
 
-/// Serve's own memory plane: every checkpoint proves the audit was
-/// drained (`checkpoint()` panics on in-flight requests), the exemplar
-/// reservoir respects its cap, and exemplar request ids are globally
-/// continuous across epochs rather than restarting at each epoch's zero.
+/// The exported audit covers every stream event, its exemplar reservoir
+/// respects its cap, and exemplar request ids are stream-wide: each id
+/// names the stream event whose trigger time its span tree starts at,
+/// across every epoch.
 #[test]
 fn serve_audit_stays_drained_and_ids_stay_global() {
-    let dir = scratch_dir("drained");
-    run_to_end(&dir, false, None);
-    let store = SegmentLog::open(dir.join("ck")).unwrap().replay().unwrap();
-    let (doc, _) = store.get("serve/audit").expect("audit checkpoint doc");
-    let audit: AuditCheckpoint = serde_json::from_value(doc.clone()).unwrap();
-    assert_eq!(audit.requests, EVENTS, "every stream event completed");
-    assert!(audit.exemplars.len() <= audit.exemplars_cap);
-    assert!(!audit.exemplars.is_empty(), "reservoir captured nothing");
-    // Exemplar ids are global (offset per epoch before merging), so they
-    // index into 0..EVENTS without collisions. The worst requests land in
-    // epoch 0 — the first-ever triggers ride the full cold-start cascade
-    // before anything is learned — and the kill-and-restart proptest
-    // already proves the ids survive a resume byte-for-byte.
-    let mut ids: Vec<u64> = audit.exemplars.iter().map(|e| e.request).collect();
+    let (audit, _, _) = golden();
+    let audit: serde_json::Value = serde_json::from_str(audit).unwrap();
+    assert_eq!(
+        audit["requests"].as_u64(),
+        Some(EVENTS),
+        "every event completed"
+    );
+    let exemplars = audit["exemplars"].as_array().unwrap();
+    assert!(!exemplars.is_empty(), "reservoir captured nothing");
+    assert!(exemplars.len() <= StreamingConfig::default().exemplars);
+    let (_, events) = GeneratedStream::new(WORKFLOWS, DEPTH, RATE, SEED, EVENTS).collect_events();
+    let mut ids: Vec<u64> = Vec::new();
+    for e in exemplars {
+        let id = e["request"].as_u64().unwrap();
+        let start = e["spans"]["root"]["start"].as_u64().unwrap();
+        assert_eq!(
+            Some(start),
+            events.get(id as usize).map(|ev| ev.at_us),
+            "exemplar {id} does not start at stream event {id}"
+        );
+        ids.push(id);
+    }
     ids.sort_unstable();
     ids.dedup();
-    assert_eq!(ids.len(), audit.exemplars.len(), "duplicate exemplar ids");
-    assert!(ids.iter().all(|&r| r < EVENTS), "id out of range: {ids:?}");
-    let (cursor, _) = store.get("serve/cursor").expect("cursor doc");
-    assert_eq!(
-        cursor.get("events_consumed").and_then(|v| v.as_u64()),
-        Some(EVENTS)
-    );
+    assert_eq!(ids.len(), exemplars.len(), "duplicate exemplar ids");
 }
 
 /// Resuming against a different stream or epoch cadence, with a knob
-/// that changes what the epochs simulate, or from an old cursor layout
-/// is a hard error, not a silent blend of two configurations.
+/// that changes what is simulated, or from an old cursor layout is a
+/// hard error, not a silent blend of two configurations.
 #[test]
 fn resume_guards_reject_mismatches() {
     let dir = scratch_dir("guards");
@@ -267,7 +307,7 @@ fn resume_guards_reject_mismatches() {
     );
 
     // A recorded stream fixes the arrivals, so a changed --seed reaches
-    // only the epoch platforms and must be caught by the cursor itself.
+    // only the platform and must be caught by the cursor itself.
     let mut recorded = base_args(&scratch_dir("guards-recorded"), false);
     recorded.stream = Some(record_stream(&dir));
     recorded.stop_after_checkpoints = 1;
@@ -292,10 +332,10 @@ fn resume_guards_reject_mismatches() {
         );
     }
 
-    // A version-1 cursor predates those guards, and a version-2 log keeps
-    // every SLO window in one document: refuse both on the version alone,
-    // before reading any other field.
-    for version in [1, 2] {
+    // A version-1 cursor predates those guards, and version-2 and -3 logs
+    // hold per-epoch platform state that resume no longer reads: refuse
+    // each on the version alone, before reading any other field.
+    for version in [1, 2, 3] {
         let cursor = serde_json::json!({ "version": version });
         SegmentLog::open(dir.join("ck"))
             .unwrap()
@@ -326,69 +366,46 @@ fn segments(ck: &Path) -> Vec<(u64, serde_json::Map<String, serde_json::Value>)>
         .collect()
 }
 
-/// Each segment writes only what became final during its epoch: every
-/// final SLO window lands in exactly one `serve/slo-final/*` document,
-/// and those documents rejoined with the open `serve/slo` part give
-/// exactly the windows and alerts of the uninterrupted run's SLO export,
-/// whether the log was written in one go or paused and resumed.
+/// A cursor whose counts the re-simulated prefix does not reproduce was
+/// not written by this program and configuration: resume refuses it with
+/// a typed error naming the field instead of continuing from it.
 #[test]
-fn final_slo_windows_are_written_once_and_rejoin_to_the_export() {
-    let export: serde_json::Value = serde_json::from_str(&golden().1).unwrap();
-    for pause in [0, 2] {
-        let dir = scratch_dir(&format!("layout-{pause}"));
-        run_to_end(&dir, true, (pause > 0).then_some(pause));
-        let ck = dir.join("ck");
+fn resume_rejects_a_cursor_the_prefix_does_not_reproduce() {
+    let dir = scratch_dir("tampered");
+    let mut args = base_args(&dir, true);
+    args.stop_after_checkpoints = 2;
+    run_serve(&args, &read_file, &mut Vec::new()).unwrap();
+    let log = SegmentLog::open(dir.join("ck")).unwrap();
+    let mut cursor = log.replay().unwrap().get("serve/cursor").unwrap().0.clone();
+    let completed = cursor["requests_completed"].as_u64().unwrap();
+    assert!(completed > 0, "the prefix completed requests");
+    cursor.as_object_mut().unwrap().insert(
+        "requests_completed".into(),
+        serde_json::json!(completed + 1),
+    );
+    log.append(&[("serve/cursor".to_string(), cursor)]).unwrap();
 
-        let mut written: Vec<u64> = Vec::new();
-        for (_, docs) in segments(&ck) {
-            let finals: Vec<_> = docs
-                .iter()
-                .filter(|(id, _)| id.starts_with("serve/slo-final/"))
-                .collect();
-            assert_eq!(finals.len(), 1, "one final document per segment");
-            let fresh: SloFinal = serde_json::from_value(finals[0].1.clone()).unwrap();
-            written.extend(fresh.windows.iter().map(|w| w.index));
+    let err = run_serve(&args, &read_file, &mut Vec::new()).unwrap_err();
+    match err {
+        CliError::CheckpointMismatch {
+            field,
+            recorded,
+            derived,
+            ..
+        } => {
+            assert_eq!(field, "requests_completed");
+            assert_eq!((recorded, derived), (completed + 1, completed));
         }
-        let exported: Vec<u64> = export["windows"]
-            .as_array()
-            .unwrap()
-            .iter()
-            .map(|w| w["index"].as_u64().unwrap())
-            .collect();
-        written.sort_unstable();
-        assert_eq!(
-            written, exported,
-            "pause {pause}: every window is final once, in exactly one document"
-        );
-
-        let store = SegmentLog::open(&ck).unwrap().replay().unwrap();
-        let open: SloCheckpoint =
-            serde_json::from_value(store.get("serve/slo").unwrap().0.clone()).unwrap();
-        assert!(open.windows.is_empty(), "nothing stays open at stream end");
-        let finals = store
-            .query_prefix("serve/slo-final/")
-            .into_iter()
-            .map(|(_, doc)| serde_json::from_value::<SloFinal>(doc.clone()).unwrap());
-        let report = SloMonitor::from_checkpoint(&open.rejoin(finals).unwrap()).report();
-        assert_eq!(
-            serde_json::to_value(&report.windows).unwrap(),
-            export["windows"],
-            "pause {pause}: rejoined windows"
-        );
-        assert_eq!(
-            serde_json::to_value(&report.alerts).unwrap(),
-            export["alerts"],
-            "pause {pause}: rejoined alerts"
-        );
+        other => panic!("expected CheckpointMismatch, got {other}"),
     }
 }
 
-/// Checkpoint segments stay the size of one epoch instead of growing
+/// Checkpoint segments stay the size of one cursor instead of growing
 /// with the window history: over 24 epochs the largest segment is at
 /// most twice the smallest. (A bound against the median would be too
 /// weak: a log growing linearly from a non-zero base always keeps its
-/// largest segment under twice its median one.) Ten-second windows make
-/// the SLO documents the bulk of each segment.
+/// largest segment under twice its median one.) Ten-second windows
+/// would make any SLO state in a segment its bulk.
 #[test]
 fn checkpoint_segments_do_not_grow_with_the_stream() {
     let dir = scratch_dir("growth");
