@@ -1167,6 +1167,11 @@ impl Platform {
         if !run.plan_active || run.plan_generation != generation {
             return; // plan was cancelled or replaced (prediction miss)
         }
+        if run.invoked[node.index()] {
+            // The invocation came before its just-in-time deployment and
+            // acquired a worker itself: a spare now serves nothing.
+            return;
+        }
         let dag = run.dag.clone();
         let spec = dag.node(node).spec();
         // Skip when a warm or in-flight worker already covers the function
@@ -2631,6 +2636,65 @@ mod tests {
         fn on_event(&mut self, _at: SimTime, event: &BusEvent) {
             self.0.push(event.clone());
         }
+    }
+
+    /// Counts speculative provisions, and those that arrive after their
+    /// request already invoked the function.
+    #[derive(Default)]
+    struct LateDeploys {
+        invoked: HashSet<(u64, String)>,
+        speculative: u64,
+        late: u64,
+    }
+
+    impl Observer for LateDeploys {
+        fn on_event(&mut self, _at: SimTime, event: &BusEvent) {
+            match event {
+                BusEvent::FunctionInvoked {
+                    request, function, ..
+                } => {
+                    self.invoked.insert((*request, function.clone()));
+                }
+                BusEvent::WorkerProvisioned {
+                    request,
+                    function,
+                    on_demand: false,
+                    ..
+                } => {
+                    self.speculative += 1;
+                    if self.invoked.contains(&(*request, function.clone())) {
+                        self.late += 1;
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// A JIT deployment is timed for its function's invocation. When the
+    /// invocation comes first (the chain ran on warm workers, faster than
+    /// the planner estimated), it has already acquired a worker, so the
+    /// deployment is dropped instead of provisioning a spare that nothing
+    /// in the request uses.
+    #[test]
+    fn jit_deploys_never_follow_their_invocation() {
+        let mut p = Platform::new(PlatformConfig::for_mode(ExecutionMode::Jit, 42));
+        let seen = p.attach_observer(LateDeploys::default());
+        p.deploy(chain(3, 400.0)).unwrap();
+        let mut arrivals = RngStream::derive(42, "arrivals");
+        let mut at_s = 0.0;
+        for _ in 0..100 {
+            at_s += arrivals.exponential(20.0);
+            p.trigger_at("chain", SimTime::from_micros((at_s * 1e6) as u64))
+                .unwrap();
+        }
+        p.run_until_idle();
+        let (speculative, late) = seen.with(|s| (s.speculative, s.late));
+        assert!(speculative > 0, "the planner never speculated");
+        assert_eq!(
+            late, 0,
+            "{late} of {speculative} speculative deploys followed their invocation"
+        );
     }
 
     #[test]

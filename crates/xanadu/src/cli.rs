@@ -576,7 +576,9 @@ open alerts, sketch occupancy, checkpoint lag) every K checkpoints.
 `--stop-after-checkpoints K` pauses at an exact boundary (the restart
 suites use this); `--fail-on-alert` exits non-zero when any alert was
 raised. `--bench-out` merges a `service` row (sustained events/sec,
-amortized checkpoint cost) into the named BENCH_harness.json.
+amortized checkpoint cost) into the named BENCH_harness.json; after a
+resume, events/sec counts only events past the cursor, over a wall
+time that includes re-simulating the prefix.
 `validate` checks a JSON document against a schema file and exits
 non-zero on mismatch (CI uses it on the exports); a `.jsonl` document
 (e.g. the serve alerts stream) is validated line by line.

@@ -156,10 +156,8 @@ struct ServeCursor {
     slo_window_secs: u64,
     /// Digest of the SLO thresholds document (`--slo`).
     slo_digest: String,
-    /// Stream events consumed at the cut.
+    /// Stream events consumed at the cut: where a resume picks up.
     events_consumed: u64,
-    /// Epochs completed.
-    epochs: u64,
     /// Requests completed at the cut.
     requests_completed: u64,
     /// Alerts emitted at the cut.
@@ -392,7 +390,6 @@ impl<'a> Service<'a> {
     fn cursor(&self, identity: &ServeCursor) -> ServeCursor {
         ServeCursor {
             events_consumed: self.events_consumed,
-            epochs: self.epochs,
             requests_completed: self.audit.with(|audit| audit.summary().requests),
             alerts_emitted: self.slo.with(|slo| slo.alerts().len() as u64),
             ..identity.clone()
@@ -406,7 +403,6 @@ fn verify_resume(recorded: &ServeCursor, derived: &ServeCursor, dir: &str) -> Re
     let counts = |c: &ServeCursor| {
         [
             ("events_consumed", c.events_consumed),
-            ("epochs", c.epochs),
             ("requests_completed", c.requests_completed),
             ("alerts_emitted", c.alerts_emitted),
         ]
@@ -482,7 +478,6 @@ pub fn run_serve(
         slo_window_secs: serve.slo_window_secs,
         slo_digest: json_digest(&thresholds),
         events_consumed: 0,
-        epochs: 0,
         requests_completed: 0,
         alerts_emitted: 0,
     };
@@ -519,6 +514,9 @@ pub fn run_serve(
             events: service.events_consumed,
         });
     }
+    // Throughput counts only the events this run ingests past the cursor;
+    // its wall time still includes re-simulating the prefix.
+    let resumed_at = service.events_consumed;
 
     // The alerts stream is rewritten to exactly the durable alert list on
     // startup: a crash after an append but before the matching checkpoint
@@ -573,7 +571,7 @@ pub fn run_serve(
             .map_err(|e| workflow_err(format!("checkpoint log: {e}")))?;
         checkpoints_this_run += 1;
         service.platform.announce(BusEvent::CheckpointWritten {
-            epoch: cursor.epochs - 1,
+            epoch: service.epochs - 1,
             segment: segments,
             docs: 1,
             events: cursor.events_consumed,
@@ -587,14 +585,14 @@ pub fn run_serve(
             uptime_ms: events[cursor.events_consumed as usize - 1].at_us as f64 / 1000.0,
             events: cursor.events_consumed,
             requests: cursor.requests_completed,
-            checkpoints: cursor.epochs,
+            checkpoints: service.epochs,
             alerts: cursor.alerts_emitted,
             sketch_occupancy: sketch.edges.occupancy() as u64,
             sketch_capacity: sketch.edges.capacity() as u64,
             sketch_evictions: sketch.edges.evictions(),
             checkpoint_lag_events: total - cursor.events_consumed,
             events_per_sec: if wall > 0.0 {
-                cursor.events_consumed as f64 / wall
+                (cursor.events_consumed - resumed_at) as f64 / wall
             } else {
                 0.0
             },
@@ -603,7 +601,7 @@ pub fn run_serve(
             eprintln!(
                 "serve: epoch {} | stream {:.1}s | {}/{} events | {:.0} ev/s | \
                  p50 {:.0}ms p95 {:.0}ms | alerts {} | sketch {}/{} | lag {}",
-                cursor.epochs - 1,
+                service.epochs - 1,
                 status.uptime_ms / 1000.0,
                 status.events,
                 total,
@@ -630,10 +628,9 @@ pub fn run_serve(
     let audit_digest = format!("fnv1a64:{:016x}", fnv1a64(audit_json.as_bytes()));
     let sketch = &service.sketch;
     let consumed = service.events_consumed;
-    // This process simulated every consumed event, resumed or not.
     let wall = started.elapsed().as_secs_f64();
     let events_per_sec = if wall > 0.0 {
-        consumed as f64 / wall
+        (consumed - resumed_at) as f64 / wall
     } else {
         0.0
     };

@@ -193,28 +193,20 @@ fn live_alerts_equal_offline_slo_report() {
     assert_eq!(live, offline, "live emission drifted from the report");
 }
 
-/// Thresholds no window can breach: p95 and waste may grow a billionfold
-/// and recall may drop all the way.
-const LENIENT_SLO: &str = r#"{"max_p95_regress_pct": 1e9,
-  "max_wasted_cpu_regress_pct": 1e9, "max_recall_drop": 1.0}"#;
-
-/// Live alerts are exactly the offline verdicts at the default
-/// thresholds too, and a stream that cannot breach emits nothing.
+/// Live alerts are exactly the offline verdicts even without strict
+/// thresholds: a clean stream emits nothing.
 #[test]
 fn clean_stream_emits_no_alerts() {
-    let (_, slo_json, alerts) = run_to_end(&scratch_dir("default-slo"), false, None);
-    let (offline, live) = alert_lists(&slo_json, &alerts);
-    assert_eq!(live, offline, "live emission drifted from the report");
-
     let dir = scratch_dir("clean");
-    let lenient = dir.join("lenient.json");
-    std::fs::write(&lenient, LENIENT_SLO).unwrap();
-    let args = with(&base_args(&dir, false), |a| {
-        a.slo = Some(lenient.to_string_lossy().into_owned())
-    });
-    let (_, slo_json, alerts) = run_with(args, None);
-    let (offline, _) = alert_lists(&slo_json, &alerts);
-    assert!(offline.is_empty(), "{offline:?}");
+    let (_, slo_json, alerts) = run_to_end(&dir, false, None);
+    let report: serde_json::Value = serde_json::from_str(&slo_json).unwrap();
+    assert_eq!(
+        report
+            .get("alerts")
+            .and_then(|a| a.as_array())
+            .map(Vec::len),
+        Some(0)
+    );
     assert!(alerts.is_empty(), "phantom alert lines: {alerts}");
 }
 
